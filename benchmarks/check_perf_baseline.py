@@ -9,9 +9,6 @@ against ``benchmarks/results/perf_baseline.json``:
   per instance size.  Model structure is fully deterministic, so *any*
   growth in constraint nonzeros over the baseline is a formulation
   regression and fails the check (exit 1).
-* ``lp_solver`` — the revised simplex must hold its cold speedup over the
-  retired tableau at the gate size, and a warm restart must stay a small
-  fraction of the cold wall.  Timing-based, so the thresholds carry slack.
 * ``short_parallel`` / ``sweep_parallel`` — measured pool speedups must
   stay at or above ``parallel.min_speedup``.  Sections flagged
   ``under_provisioned`` (host has fewer cores than the pool has workers)
@@ -60,38 +57,6 @@ def check_lp_compression(sections, baseline, failures) -> int:
             if measured > recorded:
                 failures.append(("lp_compression", n, key, measured, recorded))
     return checked
-
-
-def check_lp_solver(sections, baseline, failures) -> None:
-    """Revised-simplex speedup gate at the recorded gate size."""
-    gate = baseline.get("lp_solver")
-    section = sections.get("lp_solver")
-    if gate is None:
-        return
-    if section is None:
-        print("lp_solver: section missing from BENCH_perf.json, skipped "
-              "(run benchmarks/bench_lp_solver.py to measure it)")
-        return
-    gate_n = int(gate["gate_n"])
-    row = next((r for r in section["sizes"] if int(r["n"]) == gate_n), None)
-    if row is None:
-        print(f"lp_solver: gate size n={gate_n} not measured "
-              "(PERF_SMOKE run?), skipped")
-        return
-    cold = float(row["cold_speedup"])
-    floor = float(gate["min_cold_speedup"])
-    status = "ok" if cold >= floor else "REGRESSION"
-    print(f"lp_solver n={gate_n} cold_speedup: measured {cold} "
-          f"vs floor {floor} [{status}]")
-    if cold < floor:
-        failures.append(("lp_solver", gate_n, "cold_speedup", cold, floor))
-    warm = float(row["warm_cold_ratio"])
-    ceiling = float(gate["max_warm_cold_ratio"])
-    status = "ok" if warm <= ceiling else "REGRESSION"
-    print(f"lp_solver n={gate_n} warm_cold_ratio: measured {warm} "
-          f"vs ceiling {ceiling} [{status}]")
-    if warm > ceiling:
-        failures.append(("lp_solver", gate_n, "warm_cold_ratio", warm, ceiling))
 
 
 def check_parallel(sections, baseline, failures) -> None:
@@ -156,7 +121,6 @@ def main() -> int:
     checked = check_lp_compression(sections, baseline, failures)
     if checked < 0:
         return 2
-    check_lp_solver(sections, baseline, failures)
     check_parallel(sections, baseline, failures)
     check_certify_overhead(sections, baseline, failures)
 

@@ -8,6 +8,13 @@ experiment; the table contents are the reproduction artifact.
 
 from __future__ import annotations
 
+import os
+
+# Pin BLAS to one thread before anything imports numpy, so bench timings do
+# not depend on the host's BLAS threading (benchmarks/e2e does the same).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import sys
 from pathlib import Path
 from typing import Any

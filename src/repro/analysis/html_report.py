@@ -56,15 +56,8 @@ def render_html_report(
     result: "ISEResult",
     simulation: SimulationResult | None = None,
     title: str = "ISE solve report",
-    stash: "dict[str, int] | None" = None,
 ) -> str:
-    """Render the report as an HTML document string.
-
-    ``stash`` is an optional LP basis-stash counter snapshot
-    (:meth:`repro.lp.BasisStash.snapshot`) rendered as its own section, so
-    warm-start behavior (hits, misses, sentinel-driven evictions) is
-    visible alongside the solve it served.
-    """
+    """Render the report as an HTML document string."""
     schedule = result.schedule
     metrics = summarize_schedule(instance, schedule)
     lb = result.lower_bound
@@ -138,15 +131,6 @@ def render_html_report(
             )
         )
 
-    if stash is not None:
-        parts.append("<h2>LP basis stash</h2>")
-        parts.append(
-            _table(
-                ["counter", "value"],
-                [(k, stash[k]) for k in sorted(stash)],
-            )
-        )
-
     if simulation is not None:
         status = (
             "<span class='ok'>clean</span>"
@@ -184,11 +168,10 @@ def save_html_report(
     path: str | Path,
     simulation: SimulationResult | None = None,
     title: str = "ISE solve report",
-    stash: "dict[str, int] | None" = None,
 ) -> Path:
     """Write the HTML report to ``path``; returns the path."""
     path = Path(path)
     atomic_write_text(
-        path, render_html_report(instance, result, simulation, title, stash)
+        path, render_html_report(instance, result, simulation, title)
     )
     return path

@@ -261,11 +261,6 @@ class SweepReport:
     journal_path: str | None = None
     parallel_fallback: str | None = None
     resilience: ResilienceReport = field(default_factory=ResilienceReport)
-    #: LP basis-stash counters (hits/misses/evictions) for warm-started
-    #: sweeps; None when warm starting was off.  Covers solves run in the
-    #: driver process (serial and thread modes) — process-pool workers'
-    #: stashes die with the pool and are not aggregated here.
-    lp_stash: dict[str, int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -284,7 +279,6 @@ class SweepReport:
             "journal_path": self.journal_path,
             "parallel_fallback": self.parallel_fallback,
             "resilience": self.resilience.to_dict(),
-            "lp_stash": dict(self.lp_stash) if self.lp_stash is not None else None,
         }
 
 
@@ -435,11 +429,6 @@ def run_sweep_report(
         report.resilience.record_note(
             f"parallel pool degraded to serial: {report.parallel_fallback}"
         )
-    if config is not None and getattr(config, "lp_warm_start", False):
-        from ..lp import default_stash
-
-        stash = getattr(config, "lp_warm_stash", None) or default_stash()
-        report.lp_stash = stash.snapshot()
     return report
 
 

@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mm", default="best_greedy",
                        help="MM black box name (see repro.mm.MM_ALGORITHMS)")
     solve.add_argument("--lp-backend", default="highs",
-                       choices=["highs", "simplex", "tableau"])
+                       choices=["highs", "simplex"])
     solve.add_argument("--window-factor", type=float, default=2.0,
                        help="Definition 1 long/short threshold factor")
     solve.add_argument("--no-prune", action="store_true",
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--mm", default="best_greedy",
                        help="MM black box for the short-window side")
     serve.add_argument("--lp-backend", default="highs",
-                       choices=["highs", "simplex", "tableau"])
+                       choices=["highs", "simplex"])
     serve.add_argument("--strict", action="store_true",
                        help="propagate solve failures instead of degrading "
                             "through fallback chains")

@@ -65,8 +65,7 @@ def content_key(*parts: object) -> str:
     Builds the key from ``repr`` of each part (callers pass primitives and
     tuples of primitives only), so equal content always produces equal keys
     across processes and sessions — unlike ``hash()``, which is salted.
-    Used by the LP warm-start stash and by solve-certificate instance
-    fingerprints.
+    Used by solve-certificate instance fingerprints.
     """
     digest = hashlib.blake2b(digest_size=16)
     for part in parts:

@@ -134,11 +134,10 @@ class NumericalDriftError(SolverError):
     Raised by the revised simplex when the post-solve residual checks
     (primal feasibility, basis consistency ``B (B^-1 b) = b``, the
     objective-vs-duals identity) stay above tolerance after the full
-    escalation ladder — iterative refinement, forced refactorization, and
-    a cold re-solve — has been exhausted.  Subclasses :class:`SolverError`
-    so the resilience layer treats it as a retryable backend failure: the
-    fallback chain moves on to the next LP backend, and the warm-start
-    stash entry that seeded the drifting solve is evicted by the caller.
+    escalation ladder — iterative refinement, then forced refactorization —
+    has been exhausted.  Subclasses :class:`SolverError` so the resilience
+    layer treats it as a retryable backend failure: the fallback chain
+    moves on to the next LP backend.
 
     ``residuals`` maps sentinel names to their final (scaled) values;
     ``escalations`` records the repair steps that were attempted.

@@ -405,8 +405,8 @@ class StageAttempt:
     """One attempt at one stage with one backend.
 
     ``detail`` carries backend-reported numeric telemetry for successful
-    attempts (e.g. LP ``iterations`` / ``refactorizations`` / ``solve_ms``
-    / ``warm_started``), populated through the ``telemetry`` hook of
+    attempts (e.g. LP ``iterations`` / ``refactorizations`` /
+    ``solve_ms``), populated through the ``telemetry`` hook of
     :func:`run_with_fallbacks`.  It round-trips losslessly through
     ``to_dict``/``from_dict`` so checkpointed shards keep it.
     """

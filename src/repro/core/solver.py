@@ -33,7 +33,6 @@ from ..analysis.lower_bounds import (
     work_lower_bound,
 )
 from ..longwindow.pipeline import LongWindowConfig, LongWindowResult, LongWindowSolver
-from ..lp import BasisStash, default_stash
 from ..mm.base import MMAlgorithm
 from ..shortwindow.pipeline import (
     ShortWindowConfig,
@@ -126,18 +125,6 @@ class ISEConfig:
         parallel_mode: worker pool kind for the per-interval MM fan-out —
             ``"auto"``/``"process"``/``"thread"``/``"serial"`` (see
             :mod:`repro.core.parallel`).
-        lp_warm_start: warm-start repeated long-window LP solves from the
-            process-local :func:`~repro.lp.default_stash` (or from
-            ``lp_warm_stash`` when one is supplied).  A plain boolean so
-            configs stay picklable across sweep process pools — each worker
-            process materializes its own stash lazily, which is how the
-            previous shard's basis carries forward within a worker.
-            Results are bit-identical to cold solves (exact-content keys;
-            a stale basis falls back to phase 1 inside the solver).
-        lp_warm_stash: an explicit :class:`~repro.lp.BasisStash` to use
-            instead of the process default (the serve layer passes a
-            per-worker stash).  Implies warm starting when set.  Not
-            picklable — leave None for configs that cross process pools.
         verify: verified mode — issue a :class:`~repro.core.certify.
             SolveCertificate` for every result via an independent
             re-validation pass and attach it to ``ISEResult.certificate``.
@@ -161,8 +148,6 @@ class ISEConfig:
     resilience: ResiliencePolicy | None = None
     max_workers: int | None = None
     parallel_mode: str = "auto"
-    lp_warm_start: bool = False
-    lp_warm_stash: BasisStash | None = None
     verify: bool = False
 
     def resilience_policy(self) -> ResiliencePolicy:
@@ -177,9 +162,6 @@ class ISEConfig:
         return ResiliencePolicy(strict=self.strict, budget=budget)
 
     def long_config(self) -> LongWindowConfig:
-        stash = self.lp_warm_stash
-        if stash is None and self.lp_warm_start:
-            stash = default_stash()
         return LongWindowConfig(
             lp_backend=self.lp_backend,
             rounding_threshold=self.rounding_threshold,
@@ -187,7 +169,6 @@ class ISEConfig:
             prune_empty=self.prune_empty,
             validate=self.validate,
             resilience=self.resilience_policy(),
-            lp_warm_stash=stash,
         )
 
     def short_config(self) -> ShortWindowConfig:
@@ -325,7 +306,7 @@ class ISESolver:
             result,
             overlapping_calibrations=cfg.overlapping_calibrations,
         )
-        result.wall_times["certify"] = time.perf_counter() - tic
+        elapsed = time.perf_counter() - tic
         if not certificate.ok:
             raise CertificationError(
                 "solve result failed certification and was quarantined: "
@@ -333,7 +314,11 @@ class ISESolver:
                 certificate=certificate,
                 stage="certify",
             )
-        return replace(result, certificate=certificate)
+        return replace(
+            result,
+            certificate=certificate,
+            wall_times={**result.wall_times, "certify": elapsed},
+        )
 
     def _degrade(
         self,

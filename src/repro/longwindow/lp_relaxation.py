@@ -55,7 +55,7 @@ from typing import Mapping, Sequence
 from ..core.errors import InfeasibleInstanceError, SolverError
 from ..core.job import Job
 from ..core.tolerance import EPS
-from ..lp import Basis, LinearProgram, LPStatus, Sense, get_backend
+from ..lp import LinearProgram, LPStatus, Sense, get_backend
 from .calibration_points import potential_calibration_points, prune_dominated_points
 from .tise import tise_feasible_range
 
@@ -100,11 +100,9 @@ class TiseLPSolution:
     machines.  ``stats`` carries the model-size counters of the
     :class:`TiseLP` this was solved from (empty for trivial instances).
 
-    ``basis`` is the backend's reusable warm-start handle when it emits one
-    (the revised simplex does; HiGHS does not), and ``solver`` the backend's
-    numeric telemetry (``iterations``, ``refactorizations``, ``solve_ms``,
-    ``warm_started``) — both ``compare=False``: two solves of the same
-    instance are equal however they were reached.
+    ``solver`` is the backend's numeric telemetry (``iterations``,
+    ``refactorizations``, ``solve_ms``) — ``compare=False``: two solves of
+    the same instance are equal however they were reached.
     """
 
     objective: float
@@ -113,7 +111,6 @@ class TiseLPSolution:
     machine_budget: int
     calibration_length: float
     stats: Mapping[str, int] = field(default_factory=dict, compare=False)
-    basis: Basis | None = field(default=None, compare=False)
     solver: Mapping[str, float] = field(default_factory=dict, compare=False)
 
     def total_calibration_mass(self) -> float:
@@ -307,7 +304,6 @@ def solve_tise_lp(
     *,
     formulation: str = "compressed",
     names: bool = False,
-    warm_basis: Basis | None = None,
 ) -> TiseLPSolution:
     """Build and solve the TISE LP; raises on infeasibility.
 
@@ -317,10 +313,7 @@ def solve_tise_lp(
     :class:`~repro.core.errors.StageTimeoutError` on expiry.  ``names``
     defaults to False here (the model is discarded after the solve, so
     name strings are pure overhead); :func:`build_tise_lp` keeps them on for
-    interactive/debugging use.  ``warm_basis`` (a previous solution's
-    ``basis``) is forwarded to the backend; backends that cannot use it
-    ignore it, and a stale one falls back to a cold solve inside the
-    revised simplex — the returned solution is the same either way.
+    interactive/debugging use.
     """
     if not jobs:
         return TiseLPSolution(
@@ -334,9 +327,7 @@ def solve_tise_lp(
         jobs, calibration_length, machine_budget, points,
         formulation=formulation, names=names,
     )
-    solution = get_backend(backend)(
-        model.lp, time_limit=time_limit, warm_basis=warm_basis
-    )
+    solution = get_backend(backend)(model.lp, time_limit=time_limit)
     if solution.status is LPStatus.INFEASIBLE:
         raise InfeasibleInstanceError(
             f"TISE LP infeasible on m' = {machine_budget} machines: the "
@@ -365,6 +356,5 @@ def solve_tise_lp(
         machine_budget=machine_budget,
         calibration_length=calibration_length,
         stats=dict(model.stats),
-        basis=solution.basis,
         solver=solution.telemetry(),
     )

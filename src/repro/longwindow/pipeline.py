@@ -30,7 +30,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
-from ..core.errors import InvalidInstanceError, NumericalDriftError, SolverError
+from ..core.errors import InvalidInstanceError, SolverError
 from ..core.job import Instance
 from ..core.resilience import (
     ResiliencePolicy,
@@ -42,7 +42,6 @@ from ..core.resilience import (
 from ..core.schedule import Schedule
 from ..core.tolerance import LOOSE_EPS
 from ..core.validate import check_ise, check_tise
-from ..lp import BasisStash, content_key
 from .calibration_points import potential_calibration_points
 from .lp_relaxation import TiseLPSolution, solve_tise_lp
 from .rounding import RoundingResult, round_calibrations, round_calibrations_ceil
@@ -79,15 +78,6 @@ class LongWindowConfig:
         validate: run the independent TISE validator on the output.
         resilience: failure-handling policy; None means strict (failures
             propagate, no LP fallback chain).
-        lp_warm_stash: a :class:`~repro.lp.BasisStash` to warm-start the
-            LP stage from.  Keys are exact content fingerprints of
-            (jobs, T, m', formulation), so a hit replays the identical LP
-            with zero pivots and the result is bit-identical to a cold
-            solve; a stale basis falls back to phase 1 inside the solver.
-            None (default) disables warm starting.  Stashes hold a lock
-            and are deliberately not picklable — per-process callers (the
-            sweep workers) use :func:`~repro.lp.default_stash` via
-            ``ISEConfig.lp_warm_start`` instead of carrying one here.
     """
 
     lp_backend: str = "highs"
@@ -99,7 +89,6 @@ class LongWindowConfig:
     prune_empty: bool = True
     validate: bool = True
     resilience: ResiliencePolicy | None = None
-    lp_warm_stash: BasisStash | None = None
 
 
 @dataclass(frozen=True)
@@ -217,22 +206,6 @@ class LongWindowSolver:
             points = potential_calibration_points(instance.jobs, T)
             times["points"] = time.perf_counter() - tic
 
-            # Warm-start lookup: the key fingerprints the exact LP content,
-            # so a hit means this precise relaxation was solved before and
-            # the stashed basis replays it with zero pivots (bit-identical
-            # to a cold solve); near-identical instances miss the stash and
-            # solve cold, never risking a wrong-but-plausible restart.
-            stash = cfg.lp_warm_stash
-            warm_key: str | None = None
-            if stash is not None:
-                jobs_sig = tuple(
-                    (j.job_id, j.release, j.deadline, j.processing)
-                    for j in instance.jobs
-                )
-                warm_key = content_key(
-                    "tise-lp", jobs_sig, T, m_prime, cfg.lp_formulation
-                )
-
             def lp_thunk(backend: str):
                 def run() -> TiseLPSolution:
                     limit: float | None = None
@@ -240,34 +213,16 @@ class LongWindowSolver:
                         remaining = budget.stage_limit("lp")
                         if remaining != float("inf"):
                             limit = max(remaining, 0.0)
-                    warm = (
-                        stash.get(warm_key)
-                        if stash is not None and warm_key is not None
-                        else None
+                    return solve_tise_lp(
+                        instance.jobs,
+                        T,
+                        m_prime,
+                        backend=backend,
+                        points=points,
+                        time_limit=limit,
+                        formulation=cfg.lp_formulation,
+                        names=cfg.lp_names,
                     )
-                    try:
-                        return solve_tise_lp(
-                            instance.jobs,
-                            T,
-                            m_prime,
-                            backend=backend,
-                            points=points,
-                            time_limit=limit,
-                            formulation=cfg.lp_formulation,
-                            names=cfg.lp_names,
-                            warm_basis=warm,
-                        )
-                    except NumericalDriftError:
-                        # The sentinel ladder gave up on this solve; the
-                        # basis that seeded it has earned distrust, so it
-                        # must never warm-start another attempt.
-                        if stash is not None and warm_key is not None:
-                            if stash.discard(warm_key):
-                                report.record_note(
-                                    "evicted drifting warm-start basis "
-                                    f"{warm_key} from the stash"
-                                )
-                        raise
 
                 return run
 
@@ -286,8 +241,6 @@ class LongWindowSolver:
                 telemetry=lambda sol: sol.solver,
             )
             times["lp"] = time.perf_counter() - tic
-            if stash is not None and warm_key is not None and lp.basis is not None:
-                stash.put(warm_key, lp.basis)
 
         tic = time.perf_counter()
         if cfg.rounding_scheme not in ("greedy", "ceil", "best"):

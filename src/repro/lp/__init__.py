@@ -2,12 +2,9 @@
 
 * :mod:`repro.lp.model` — solver-agnostic sparse LP builder.
 * :mod:`repro.lp.highs` — SciPy/HiGHS backend (default).
-* :mod:`repro.lp.simplex` — in-repo bounded-variable revised simplex
-  (cross-check substrate, ABL3 ablation, warm-startable).
-* :mod:`repro.lp.tableau` — the legacy dense full-tableau simplex, kept as
-  the benchmark yardstick the revised solver is measured against.
-* :mod:`repro.lp.warmstart` — reusable :class:`Basis` handles and the
-  :class:`BasisStash` that carries them between solves.
+* :mod:`repro.lp.simplex` — in-repo bounded-variable revised simplex: the
+  fallback after HiGHS in the default LP chain, the differential-test
+  oracle, and the ABL3 ablation.
 * :mod:`repro.lp.sentinel` — independent post-solve residual checks
   (primal/dual/basis drift detection) behind the revised simplex's
   escalation ladder.
@@ -21,27 +18,19 @@ from .highs import HighsBackend, solve_highs
 from .model import LinearProgram, LPSolution, LPStatus, Sense
 from .sentinel import SENTINEL_TOL, SentinelReport, check_solution
 from .simplex import SimplexBackend, solve_simplex
-from .tableau import TableauBackend, solve_tableau
-from .warmstart import Basis, BasisStash, content_key, default_stash
 
 __all__ = [
     "LinearProgram",
     "LPSolution",
     "LPStatus",
     "Sense",
-    "Basis",
-    "BasisStash",
     "SENTINEL_TOL",
     "SentinelReport",
     "check_solution",
-    "content_key",
-    "default_stash",
     "solve_highs",
     "solve_simplex",
-    "solve_tableau",
     "HighsBackend",
     "SimplexBackend",
-    "TableauBackend",
     "LPBackend",
     "get_backend",
     "BACKENDS",
@@ -54,12 +43,7 @@ class LPBackend(Protocol):
     ``time_limit`` is wall-clock seconds for this one solve; backends raise
     :class:`~repro.core.errors.StageTimeoutError` when they hit it (and
     also honor the ambient :func:`~repro.core.resilience.budget_scope`).
-
-    ``warm_basis`` is a previous solution's :class:`Basis` hint.  Backends
-    that cannot restart from one (HiGHS, the legacy tableau) accept and
-    ignore it; the revised simplex resumes phase 2 from it when it still
-    describes a feasible vertex and silently falls back to a cold solve
-    otherwise — so callers may always pass whatever basis they have.
+    Every solve starts cold: no backend takes or returns a basis.
     """
 
     def __call__(
@@ -67,18 +51,16 @@ class LPBackend(Protocol):
         model: LinearProgram,
         *,
         time_limit: float | None = None,
-        warm_basis: Basis | None = None,
     ) -> LPSolution: ...
 
 BACKENDS: dict[str, LPBackend] = {
     "highs": HighsBackend(),
     "simplex": SimplexBackend(),
-    "tableau": TableauBackend(),
 }
 
 
 def get_backend(name: str) -> LPBackend:
-    """Look up an LP backend by name (``"highs"``, ``"simplex"``, ``"tableau"``)."""
+    """Look up an LP backend by name (``"highs"`` or ``"simplex"``)."""
     try:
         return BACKENDS[name]
     except KeyError:

@@ -15,7 +15,6 @@ from scipy.optimize import linprog
 
 from ..core.errors import SolverError, StageTimeoutError
 from .model import LinearProgram, LPSolution, LPStatus
-from .warmstart import Basis
 
 __all__ = ["HighsBackend", "solve_highs"]
 
@@ -33,16 +32,12 @@ def solve_highs(
     model: LinearProgram,
     *,
     time_limit: float | None = None,
-    warm_basis: Basis | None = None,
 ) -> LPSolution:
     """Solve ``model`` with HiGHS; never raises on infeasibility/unboundedness.
 
     ``time_limit`` (seconds) is forwarded to HiGHS; exceeding it raises
     :class:`StageTimeoutError` so the resilience layer can fall back.
-    ``warm_basis`` is accepted for backend interface parity but ignored —
-    SciPy's linprog interface offers no basis injection.
     """
-    del warm_basis
     tic = time.perf_counter()
     c, a_ub, b_ub, a_eq, b_eq, lb, ub = model.to_standard_arrays()
     if model.num_variables == 0:
@@ -118,9 +113,8 @@ class HighsBackend:
         model: LinearProgram,
         *,
         time_limit: float | None = None,
-        warm_basis: Basis | None = None,
     ) -> LPSolution:
-        return solve_highs(model, time_limit=time_limit, warm_basis=warm_basis)
+        return solve_highs(model, time_limit=time_limit)
 
     def __repr__(self) -> str:  # pragma: no cover
         return "HighsBackend()"

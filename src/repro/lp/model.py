@@ -23,7 +23,6 @@ import numpy as np
 from scipy import sparse
 
 from ..core.errors import SolverError
-from .warmstart import Basis
 
 if TYPE_CHECKING:  # annotation only: sentinel imports this module
     from .sentinel import SentinelReport
@@ -72,15 +71,10 @@ class LPSolution:
     The telemetry tail (``compare=False`` — two solves of the same model
     are "equal" regardless of how fast they ran):
 
-    * ``basis`` — the optimal :class:`~repro.lp.warmstart.Basis` when the
-      backend can express one (the revised simplex does), reusable as the
-      ``warm_basis`` of a later solve;
     * ``iterations`` — pivot/bound-flip count (HiGHS: its ``nit``);
     * ``refactorizations`` — basis factorizations beyond the free identity
       start (simplex only);
     * ``solve_ms`` — wall-clock milliseconds inside the backend;
-    * ``warm_started`` — True when a supplied warm basis was actually used
-      (False also covers the crossover-to-phase-1 fallback on stale bases);
     * ``sentinel`` — the post-solve numerical-sentinel verdict
       (:class:`~repro.lp.sentinel.SentinelReport`) for backends that run
       the residual checks (the revised simplex does); None otherwise.
@@ -92,11 +86,9 @@ class LPSolution:
     message: str = ""
     dual_ineq: np.ndarray | None = None
     dual_eq: np.ndarray | None = None
-    basis: Basis | None = field(default=None, compare=False)
     iterations: int = field(default=0, compare=False)
     refactorizations: int = field(default=0, compare=False)
     solve_ms: float = field(default=0.0, compare=False)
-    warm_started: bool = field(default=False, compare=False)
     sentinel: "SentinelReport | None" = field(default=None, compare=False)
 
     def telemetry(self) -> dict[str, float]:
@@ -105,7 +97,6 @@ class LPSolution:
             "iterations": float(self.iterations),
             "refactorizations": float(self.refactorizations),
             "solve_ms": float(self.solve_ms),
-            "warm_started": 1.0 if self.warm_started else 0.0,
         }
         if self.sentinel is not None:
             data.update(self.sentinel.telemetry())

@@ -50,8 +50,8 @@ class SentinelReport:
     All residuals are scaled (unitless); ``None`` means the check was not
     applicable (no duals, no basis).  ``repairs`` is the escalation depth
     that produced the accepted solution: 0 clean on first check, 1 after
-    iterative refinement, 2 after a forced refactorization, 3 after a cold
-    re-solve.  ``escalations`` names the steps actually taken.
+    iterative refinement, 2 after a forced refactorization.
+    ``escalations`` names the steps actually taken.
     """
 
     primal_residual: float

@@ -3,9 +3,8 @@
 This is the library's own LP substrate: an independently implemented solver
 used to cross-check the HiGHS backend (tests assert both find the same
 optimum on random LPs and on small TISE relaxations) and benched against it
-in the ABL3 ablation.  Unlike the preserved full-tableau reference
-(:mod:`repro.lp.tableau`), it maintains a *factorized basis* instead of an
-``O(rows x cols)`` dense tableau:
+in the ABL3 ablation.  It maintains a *factorized basis* rather than
+re-eliminating the full ``O(rows x cols)`` constraint matrix per pivot:
 
 * the basis inverse ``B^-1`` is held explicitly and updated per pivot with
   a rank-1 (product-form) elementary transformation; it is refactorized
@@ -33,22 +32,13 @@ Model handling:
   where possible, then removed from pricing and fixed to zero (no magic
   big-M costs that could poison reduced-cost comparisons).
 
-Warm starts: pass ``warm_basis`` (the ``basis`` of a previous solve's
-:class:`LPSolution`) and the solver refactorizes that basis, verifies the
-point it implies is primal feasible for the *current* data, and resumes
-phase 2 directly.  Re-solving an unchanged model this way prices once and
-pivots zero times.  A stale basis — wrong shape, singular, or no longer
-feasible — falls back to an ordinary cold phase-1 start ("crossover to
-phase 1"), so a warm hint can cost nothing but never break correctness.
-
-Numerical sentinels: every OPTIMAL return (cold or warm) is re-checked
-against the model data — primal residual, basis consistency
-``max |B x_B - b|`` (one extra sparse matvec), and the bounded-variable
-objective-vs-duals identity (see :mod:`repro.lp.sentinel`).  Drift beyond
-tolerance triggers the escalation ladder: one step of iterative refinement
-of ``x_B``, then a forced refactorization with a re-priced phase 2, then —
-for warm-started solves — a full cold re-solve.  A solve that still fails
-its sentinels raises :class:`~repro.core.errors.NumericalDriftError`, a
+Numerical sentinels: every OPTIMAL return is re-checked against the model
+data — primal residual, basis consistency ``max |B x_B - b|`` (one extra
+sparse matvec), and the bounded-variable objective-vs-duals identity (see
+:mod:`repro.lp.sentinel`).  Drift beyond tolerance triggers the escalation
+ladder: one step of iterative refinement of ``x_B``, then a forced
+refactorization with a re-priced phase 2.  A solve that still fails its
+sentinels raises :class:`~repro.core.errors.NumericalDriftError`, a
 :class:`~repro.core.errors.SolverError` the resilience layer routes to the
 next LP backend.  The verdict rides the solution's ``sentinel`` field into
 ``LPSolution.telemetry()``.
@@ -68,7 +58,6 @@ from ..core.resilience import check_budget
 from ..core.tolerance import EPS
 from .model import LinearProgram, LPSolution, LPStatus
 from .sentinel import SENTINEL_TOL, SentinelReport, solution_residuals
-from .warmstart import Basis
 
 __all__ = ["SimplexBackend", "solve_simplex"]
 
@@ -298,38 +287,6 @@ class _RevisedSimplex:
         # The start columns form a +1 identity, so B^-1 = I for free.
         self.binv = np.eye(self.m, order="F")
         self.x_b = self.b.astype(float, copy=True)
-
-    def try_warm_start(self, warm: Basis) -> bool:
-        """Install ``warm`` if it is compatible, factorizable, and feasible."""
-        if not warm.matches(self.m, self.n0):
-            return False
-        basic = np.asarray(warm.basic, dtype=np.int64)
-        if np.unique(basic).size != self.m:
-            return False
-        at_upper_cols = np.asarray(warm.at_upper, dtype=np.int64)
-        in_basis = np.zeros(self.n, dtype=bool)
-        in_basis[basic] = True
-        if at_upper_cols.size and (
-            np.any(in_basis[at_upper_cols])
-            or np.any(~np.isfinite(self.u[at_upper_cols]))
-        ):
-            return False
-        self.basic = basic
-        self.in_basis = in_basis
-        self.at_upper[:] = False
-        self.at_upper[at_upper_cols] = True
-        self.retire_artificials()
-        try:
-            self._refactor()
-        except _SingularBasisError:
-            return False
-        # Crossover check: the restored vertex must still be primal
-        # feasible for the *current* data, else we fall back to phase 1.
-        feas_tol = _PHASE1_TOL * (1.0 + float(np.abs(self.b).max(initial=0.0)))
-        upper = self.u[self.basic]
-        if np.any(self.x_b < -feas_tol) or np.any(self.x_b > upper + feas_tol):
-            return False
-        return True
 
     def retire_artificials(self) -> None:
         """Delete artificial columns from pricing and pin them to zero."""
@@ -582,8 +539,8 @@ class _RevisedSimplex:
 
     # -- extraction ----------------------------------------------------------
 
-    def extract(self) -> tuple[np.ndarray, Basis | None]:
-        """Model-space solution vector plus a reusable basis handle."""
+    def extract(self) -> np.ndarray:
+        """Model-space solution vector."""
         form = self.form
         x_full = np.where(self.at_upper, np.where(np.isfinite(self.u), self.u, 0.0), 0.0)
         x_full[self.basic] = self.x_b
@@ -592,17 +549,7 @@ class _RevisedSimplex:
         if has_split.any():
             idx = np.flatnonzero(has_split)
             x[idx] -= x_full[form.split_col[idx]]
-        x = form.shift + form.sign * x
-        if np.any(self.basic >= self.n0):
-            return x, None  # a stuck artificial: basis not reusable
-        at_upper_cols = np.flatnonzero(self.at_upper[: self.n0] & ~self.in_basis[: self.n0])
-        handle = Basis(
-            m=self.m,
-            n=self.n0,
-            basic=tuple(int(col) for col in self.basic),
-            at_upper=tuple(int(col) for col in at_upper_cols),
-        )
-        return x, handle
+        return form.shift + form.sign * x
 
 
 def _solve_unconstrained(
@@ -651,32 +598,16 @@ def _sentinel_report(
     )
 
 
-def _run_cold(
-    form: _StandardForm, deadline: float | None, context: str
-) -> tuple[_RevisedSimplex, LPStatus]:
-    """A fresh cold two-phase run over ``form`` (the ladder's last rung)."""
-    solver = _RevisedSimplex(form, deadline, context)
-    solver.cold_start()
-    status1 = solver.phase1()
-    if status1 is not LPStatus.OPTIMAL:
-        return solver, status1
-    return solver, solver.phase2()
-
-
 def solve_simplex(
     model: LinearProgram,
     *,
     time_limit: float | None = None,
-    warm_basis: Basis | None = None,
 ) -> LPSolution:
     """Solve ``model`` with the in-repo bounded-variable revised simplex.
 
     ``time_limit`` (seconds, across both phases) raises
     :class:`StageTimeoutError` when exceeded; the ambient solve budget is
-    honored either way.  ``warm_basis`` (from a previous solution's
-    ``basis``) skips phase 1 when it still describes a feasible vertex of
-    this model; a stale or mismatched basis silently falls back to a cold
-    phase-1 start.
+    honored either way.
 
     Every OPTIMAL answer passes the numerical sentinels before it is
     returned; unrepairable drift raises
@@ -694,34 +625,27 @@ def solve_simplex(
         return _solve_unconstrained(model, form, tic)
 
     solver = _RevisedSimplex(form, deadline, context)
-    warm_ok = False
-    if warm_basis is not None:
-        try:
-            warm_ok = solver.try_warm_start(warm_basis)
-        except _SingularBasisError:
-            warm_ok = False
-    if not warm_ok:
-        solver.cold_start()
-        status1 = solver.phase1()
-        if status1 is LPStatus.INFEASIBLE:
-            return LPSolution(
-                status=LPStatus.INFEASIBLE,
-                objective=None,
-                x=None,
-                iterations=solver.iterations,
-                refactorizations=solver.refactorizations,
-                solve_ms=(time.perf_counter() - tic) * 1e3,
-            )
-        if status1 is not LPStatus.OPTIMAL:
-            return LPSolution(
-                status=LPStatus.ERROR,
-                objective=None,
-                x=None,
-                message="phase-1 iteration limit",
-                iterations=solver.iterations,
-                refactorizations=solver.refactorizations,
-                solve_ms=(time.perf_counter() - tic) * 1e3,
-            )
+    solver.cold_start()
+    status1 = solver.phase1()
+    if status1 is LPStatus.INFEASIBLE:
+        return LPSolution(
+            status=LPStatus.INFEASIBLE,
+            objective=None,
+            x=None,
+            iterations=solver.iterations,
+            refactorizations=solver.refactorizations,
+            solve_ms=(time.perf_counter() - tic) * 1e3,
+        )
+    if status1 is not LPStatus.OPTIMAL:
+        return LPSolution(
+            status=LPStatus.ERROR,
+            objective=None,
+            x=None,
+            message="phase-1 iteration limit",
+            iterations=solver.iterations,
+            refactorizations=solver.refactorizations,
+            solve_ms=(time.perf_counter() - tic) * 1e3,
+        )
 
     status = solver.phase2()
     if status is LPStatus.UNBOUNDED:
@@ -732,7 +656,6 @@ def solve_simplex(
             iterations=solver.iterations,
             refactorizations=solver.refactorizations,
             solve_ms=(time.perf_counter() - tic) * 1e3,
-            warm_started=warm_ok,
         )
     if status is not LPStatus.OPTIMAL:
         return LPSolution(
@@ -743,20 +666,17 @@ def solve_simplex(
             iterations=solver.iterations,
             refactorizations=solver.refactorizations,
             solve_ms=(time.perf_counter() - tic) * 1e3,
-            warm_started=warm_ok,
         )
 
-    x, handle = solver.extract()
+    x = solver.extract()
     sentinel = _sentinel_report(model, solver, x)
     escalations: list[str] = []
-    iterations = solver.iterations
-    refactorizations = solver.refactorizations
 
     if not sentinel.ok:
         # Rung 1: iterative refinement of x_B against the current basis.
         escalations.append("refine")
         solver.refine()
-        x, handle = solver.extract()
+        x = solver.extract()
         sentinel = _sentinel_report(model, solver, x)
     if not sentinel.ok:
         # Rung 2: rebuild B^-1 from scratch and re-price phase 2.
@@ -764,24 +684,10 @@ def solve_simplex(
         try:
             solver._refactor()
             if solver.phase2() is LPStatus.OPTIMAL:
-                x, handle = solver.extract()
+                x = solver.extract()
                 sentinel = _sentinel_report(model, solver, x)
         except _SingularBasisError:
             pass
-        iterations = solver.iterations
-        refactorizations = solver.refactorizations
-    if not sentinel.ok and warm_ok:
-        # Rung 3: the warm start itself is suspect — cold re-solve.
-        escalations.append("cold")
-        cold_solver, cold_status = _run_cold(form, deadline, context)
-        iterations += cold_solver.iterations
-        refactorizations += cold_solver.refactorizations
-        if cold_status is LPStatus.OPTIMAL:
-            cold_x, cold_handle = cold_solver.extract()
-            cold_sentinel = _sentinel_report(model, cold_solver, cold_x)
-            if cold_sentinel.ok:
-                x, handle, sentinel = cold_x, cold_handle, cold_sentinel
-                warm_ok = False
     if not sentinel.ok:
         raise NumericalDriftError(
             f"simplex result failed its numerical sentinels{context}: "
@@ -800,11 +706,9 @@ def solve_simplex(
         status=LPStatus.OPTIMAL,
         objective=float(model.objective_value(x)),
         x=x,
-        basis=handle,
-        iterations=iterations,
-        refactorizations=refactorizations,
+        iterations=solver.iterations,
+        refactorizations=solver.refactorizations,
         solve_ms=(time.perf_counter() - tic) * 1e3,
-        warm_started=warm_ok,
         sentinel=sentinel,
     )
 
@@ -819,9 +723,8 @@ class SimplexBackend:
         model: LinearProgram,
         *,
         time_limit: float | None = None,
-        warm_basis: Basis | None = None,
     ) -> LPSolution:
-        return solve_simplex(model, time_limit=time_limit, warm_basis=warm_basis)
+        return solve_simplex(model, time_limit=time_limit)
 
     def __repr__(self) -> str:  # pragma: no cover
         return "SimplexBackend()"

@@ -50,7 +50,6 @@ from ..core.errors import (
 from ..core.job import Instance
 from ..core.resilience import ResiliencePolicy, RetryPolicy, SolveBudget
 from ..core.solver import ISEConfig, solve_ise
-from ..lp import BasisStash
 from .breaker import BreakerBoard
 from .queue import AdmissionQueue, SolveRequest
 
@@ -92,17 +91,11 @@ class ServiceConfig:
         idempotency_capacity: how many recent client ``request_id``s the
             service remembers for duplicate-submission dedupe (bounded
             LRU; 0 disables the cache entirely).
-        lp_warm_start: give each worker thread its own small LP basis
-            stash, so a client re-solving the same instance (retries,
-            idempotent replays, polling dashboards) warm-starts the LP
-            stage.  Exact-content keys keep warm results bit-identical to
-            cold ones; stale bases fall back to phase 1 in the solver.
         verify_results: certify every result before it escapes a worker
-            (see :mod:`repro.core.certify`).  A failed certificate dumps
-            the worker's basis stash and re-solves once, cold and still
-            verified; if that repair also fails, the request resolves
-            with a typed :class:`CertificationError` — a corrupted
-            schedule is never handed to a client.
+            (see :mod:`repro.core.certify`).  A failed certificate triggers
+            one re-solve, still verified; if that repair also fails, the
+            request resolves with a typed :class:`CertificationError` — a
+            corrupted schedule is never handed to a client.
     """
 
     workers: int = 2
@@ -119,7 +112,6 @@ class ServiceConfig:
     breaker_half_open_trials: int = 1
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     idempotency_capacity: int = 128
-    lp_warm_start: bool = True
     verify_results: bool = False
 
     def __post_init__(self) -> None:
@@ -143,12 +135,12 @@ class ServiceStats:
 
     The ``lp_*`` counters aggregate the LP telemetry that successful solves
     carry in their resilience attempt records (``detail`` of "ok" LP
-    attempts): total LP solves observed, how many of them warm-started,
-    and the cumulative simplex iteration count.
+    attempts): total LP solves observed and the cumulative solver
+    iteration count.
 
     Verified mode adds three more: ``verified`` results that carried a
     passing certificate out the door, ``repaired`` results whose first
-    solve failed certification but whose cold re-solve passed, and
+    solve failed certification but whose re-solve passed, and
     ``quarantined`` requests whose repair also failed — those resolve with
     a typed error instead of a result.
     """
@@ -163,7 +155,6 @@ class ServiceStats:
         "shed_solves",
         "abandoned",
         "lp_solves",
-        "lp_warm_solves",
         "lp_iterations",
         "verified",
         "repaired",
@@ -256,11 +247,6 @@ class SolveService:
         self._state_lock = threading.Lock()
         self._in_flight: dict[str, SolveRequest] = {}
         self._idle = threading.Condition(self._state_lock)
-        # Per-worker-thread LP basis stashes: thread-local to stay
-        # contention-free on the hot path, registered centrally so
-        # stats_snapshot() can aggregate hit/miss counters.
-        self._stash_local = threading.local()
-        self._stashes: list[BasisStash] = []
         # Bounded LRU of recent client request_ids -> their SolveRequest,
         # so a duplicate POST (client retry, proxy replay) reuses the
         # original future instead of burning a second solve.
@@ -454,16 +440,6 @@ class SolveService:
                     self._in_flight.pop(request.request_id, None)
                     self._idle.notify_all()
 
-    def _worker_stash(self) -> BasisStash:
-        """This worker thread's LP basis stash (created and registered once)."""
-        stash = getattr(self._stash_local, "stash", None)
-        if stash is None:
-            stash = BasisStash()
-            self._stash_local.stash = stash
-            with self._state_lock:
-                self._stashes.append(stash)
-        return stash
-
     def _request_config(self, request: SolveRequest, shed: bool) -> ISEConfig:
         """The per-request solver config: base template + deadline + gate."""
         base = self.config.solver
@@ -479,15 +455,12 @@ class SolveService:
             pipeline_fallback=base_policy.pipeline_fallback,
             gate=self.breakers,
         )
-        warm = self.config.lp_warm_start
         return dataclasses.replace(
             base,
             strict=strict_effective,
             mm_algorithm=self.config.shed_mm if shed else base.mm_algorithm,
             timeout=None,
             resilience=policy,
-            lp_warm_start=warm or base.lp_warm_start,
-            lp_warm_stash=self._worker_stash() if warm else base.lp_warm_stash,
             verify=self.config.verify_results or base.verify,
         )
 
@@ -557,32 +530,24 @@ class SolveService:
     def _repair_or_quarantine(
         self, request: SolveRequest, cfg: ISEConfig, failure: CertificationError
     ) -> Any:
-        """One certified cold re-solve after a failed certificate.
+        """One certified re-solve after a failed certificate.
 
-        The likeliest corruption vector for a bad result is shared mutable
-        state — above all a poisoned warm-start basis — so the repair dumps
-        this worker's entire stash, disables warm starting for the retry,
-        and re-solves under whatever deadline budget the request has left,
-        still in verified mode.  A passing repair is returned (and counted
-        as ``repaired``); any failure quarantines the request — the
-        original :class:`CertificationError` propagates and the caller
-        never sees the uncertified schedule.
+        Every solve starts from scratch, so a transient corruption does not
+        survive into the retry: the repair re-solves under whatever deadline
+        budget the request has left, still in verified mode.  A passing
+        repair is returned (and counted as ``repaired``); any failure
+        quarantines the request — the original :class:`CertificationError`
+        propagates and the caller never sees the uncertified schedule.
         """
-        if self.config.lp_warm_start:
-            self._worker_stash().clear()
         policy = cfg.resilience
         if policy is not None:
             policy = dataclasses.replace(
                 policy, budget=request.budget.subbudget()
             )
-        cold_cfg = dataclasses.replace(
-            cfg,
-            lp_warm_start=False,
-            lp_warm_stash=None,
-            resilience=policy,
-        )
         try:
-            result = self.solve_fn(request.instance, cold_cfg)
+            result = self.solve_fn(
+                request.instance, dataclasses.replace(cfg, resilience=policy)
+            )
         except ReproError as exc:
             self.stats.bump("quarantined")
             if isinstance(exc, CertificationError):
@@ -605,8 +570,6 @@ class SolveService:
                 continue
             self.stats.bump("lp_solves")
             detail = attempt.detail or {}
-            if detail.get("warm_started"):
-                self.stats.bump("lp_warm_solves")
             self.stats.bump("lp_iterations", int(detail.get("iterations", 0)))
 
     # -- Drain ---------------------------------------------------------------
@@ -688,24 +651,4 @@ class SolveService:
             "ready": self.ready,
             "retry_after": self.retry_after_estimate(),
             "breakers": self.breakers.snapshot(),
-            "lp_basis_stash": self._stash_summary(),
         }
-
-    def _stash_summary(self) -> dict[str, int]:
-        """Aggregated per-worker basis-stash counters for ``/stats``."""
-        with self._state_lock:
-            stashes = list(self._stashes)
-        summary = {
-            "stashes": len(stashes),
-            "entries": 0,
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-        }
-        for stash in stashes:
-            snap = stash.snapshot()
-            summary["entries"] += snap["entries"]
-            summary["hits"] += snap["hits"]
-            summary["misses"] += snap["misses"]
-            summary["evictions"] += snap["evictions"]
-        return summary

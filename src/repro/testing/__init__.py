@@ -4,8 +4,8 @@
   LP backends and MM algorithms so they fail, return garbage, or time out
   on chosen calls, plus a fake clock for deterministic deadline tests and
   crash injectors (process kills, torn writes) for the checkpoint layer's
-  chaos suite, and result/stash corruptors (bit-flipped schedules,
-  poisoned warm-start bases) for the certification layer's chaos suite.
+  chaos suite, and a result corruptor (bit-flipped schedules) for the
+  certification layer's chaos suite.
 """
 
 from .faults import (
@@ -21,8 +21,6 @@ from .faults import (
     inject_lp_fault,
     inject_mm_fault,
     inject_session_crash,
-    poison_stash,
-    scrambled_basis,
     tear_file,
 )
 
@@ -39,7 +37,5 @@ __all__ = [
     "inject_lp_fault",
     "inject_mm_fault",
     "inject_session_crash",
-    "poison_stash",
-    "scrambled_basis",
     "tear_file",
 ]

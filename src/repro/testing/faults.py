@@ -49,15 +49,7 @@ import numpy as np
 from ..core.errors import SolverError, StageTimeoutError
 from ..core.job import Job
 from ..core.schedule import ScheduledJob
-from ..lp import (
-    BACKENDS,
-    Basis,
-    BasisStash,
-    LinearProgram,
-    LPSolution,
-    LPStatus,
-    get_backend,
-)
+from ..lp import BACKENDS, LinearProgram, LPSolution, LPStatus, get_backend
 from ..mm.base import MMAlgorithm, MMSchedule
 from ..mm.registry import MM_ALGORITHMS, get_mm_algorithm
 
@@ -74,8 +66,6 @@ __all__ = [
     "inject_lp_fault",
     "inject_mm_fault",
     "inject_session_crash",
-    "poison_stash",
-    "scrambled_basis",
     "tear_file",
 ]
 
@@ -147,7 +137,6 @@ class FaultyLPBackend:
         model: LinearProgram,
         *,
         time_limit: float | None = None,
-        warm_basis: Basis | None = None,
     ) -> LPSolution:
         if self.plan.should_fault():
             if self.plan.kind == "fail":
@@ -168,7 +157,7 @@ class FaultyLPBackend:
                 x=np.zeros(model.num_variables),
                 message="injected garbage",
             )
-        return self.inner(model, time_limit=time_limit, warm_basis=warm_basis)
+        return self.inner(model, time_limit=time_limit)
 
 
 @dataclass
@@ -396,29 +385,3 @@ def inject_session_crash(
     finally:
         SessionJournal.append_records = original  # type: ignore[method-assign]
 
-
-def scrambled_basis(basis: Basis) -> Basis:
-    """A shape-compatible but wrong basis (poisoned warm-start seed).
-
-    Rotating every basic column by one (mod ``n``) keeps the columns
-    distinct and in range — :meth:`Basis.matches` still passes — but the
-    vertex the basis describes is garbage, so a warm start from it must be
-    caught (singular factorization, infeasible point, or a sentinel
-    firing) and routed around, never silently trusted.
-    """
-    basic = tuple((col + 1) % basis.n for col in basis.basic)
-    return Basis(m=basis.m, n=basis.n, basic=basic, at_upper=basis.at_upper)
-
-
-def poison_stash(stash: BasisStash) -> int:
-    """Replace every stashed basis with a scrambled one; returns the count.
-
-    Models in-memory corruption of shared warm-start state.  Reaches into
-    the stash's internals deliberately: corruption does not go through
-    public APIs.
-    """
-    with stash._lock:
-        keys = list(stash._entries)
-        for key in keys:
-            stash._entries[key] = scrambled_basis(stash._entries[key])
-    return len(keys)

@@ -90,18 +90,6 @@ class TestRenderHtmlReport:
         instance, result = solved
         assert "Solve certificate" not in render_html_report(instance, result)
 
-    def test_stash_section(self, solved, tmp_path):
-        from repro.lp import BasisStash
-
-        instance, result = solved
-        stash = BasisStash()
-        doc = render_html_report(instance, result, stash=stash.snapshot())
-        assert "LP basis stash" in doc
-        path = save_html_report(
-            instance, result, tmp_path / "s.html", stash=stash.snapshot()
-        )
-        assert "LP basis stash" in path.read_text()
-
     def test_title_escaped(self, solved):
         instance, result = solved
         doc = render_html_report(instance, result, title="a <b> & c")

@@ -51,35 +51,6 @@ class TestRunSweep:
         assert run_sweep([]) == []
 
 
-class TestSweepStashCounters:
-    def test_report_carries_stash_counters_when_warm_starting(self):
-        from repro.analysis.sweep import run_sweep_report
-        from repro.lp import default_stash
-
-        cases = [SweepCase("mixed", 10, 2, 10.0, seed) for seed in range(2)]
-        before = default_stash().snapshot()
-        report = run_sweep_report(
-            cases,
-            config=ISEConfig(lp_backend="simplex", lp_warm_start=True),
-            mode="serial",
-        )
-        assert report.lp_stash is not None
-        counters = report.lp_stash
-        assert counters["hits"] + counters["misses"] >= (
-            before["hits"] + before["misses"]
-        )
-        assert report.to_dict()["lp_stash"] == counters
-
-    def test_cold_sweeps_report_no_stash(self):
-        from repro.analysis.sweep import run_sweep_report
-
-        report = run_sweep_report(
-            [SweepCase("mixed", 10, 2, 10.0, 0)], mode="serial"
-        )
-        assert report.lp_stash is None
-        assert report.to_dict()["lp_stash"] is None
-
-
 class TestSweepTable:
     def test_render(self):
         cases = [SweepCase("unit", 8, 2, 4, 0)]

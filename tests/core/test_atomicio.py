@@ -11,6 +11,7 @@ from repro.core.atomicio import (
     atomic_write_bytes,
     atomic_write_text,
     checksum,
+    content_key,
     dump_artifact,
     is_envelope,
     load_artifact,
@@ -98,3 +99,11 @@ class TestChecksum:
 
     def test_prefixed(self):
         assert checksum("abc").startswith("sha256:")
+
+
+class TestContentKey:
+    def test_deterministic_and_input_sensitive(self):
+        a = content_key("tise-lp", (1, 2.0), 10.0)
+        assert a == content_key("tise-lp", (1, 2.0), 10.0)
+        assert a != content_key("tise-lp", (1, 2.5), 10.0)
+        assert a != content_key("other", (1, 2.0), 10.0)

@@ -106,6 +106,16 @@ class TestVerifiedMode:
         assert verified.certificate.instance == instance_fingerprint(instance)
         assert "certify" in verified.wall_times
 
+    def test_certify_leaves_the_input_result_untouched(self, instance) -> None:
+        from repro.core.solver import ISESolver
+
+        result = solve_ise(instance, ISEConfig())
+        before = dict(result.wall_times)
+        certified = ISESolver(ISEConfig(verify=True))._certified(instance, result)
+        assert result.wall_times == before
+        assert "certify" not in result.wall_times
+        assert "certify" in certified.wall_times
+
     def test_default_mode_has_no_certificate(self, instance) -> None:
         result = solve_ise(instance, ISEConfig())
         assert result.certificate is None

@@ -1,9 +1,8 @@
 """Cross-checked tests for the HiGHS backend and the in-repo solvers.
 
-The central property: on any random bounded-feasible LP, every solver —
-the revised simplex, the preserved full-tableau reference, and HiGHS —
-returns the same optimal objective (the in-repo solvers are independently
-implemented substrates, HiGHS the reference).
+The central property: on any random bounded-feasible LP, the in-repo
+revised simplex and HiGHS return the same optimal objective (the simplex is
+an independently implemented substrate, HiGHS the reference).
 """
 
 from __future__ import annotations
@@ -13,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from repro.core.errors import StageTimeoutError
+from repro.core.resilience import SolveBudget, budget_scope
 from repro.lp import (
     LinearProgram,
     LPStatus,
@@ -20,8 +21,8 @@ from repro.lp import (
     get_backend,
     solve_highs,
     solve_simplex,
-    solve_tableau,
 )
+from repro.testing import FakeClock
 
 
 def _knapsack_lp():
@@ -33,7 +34,18 @@ def _knapsack_lp():
     return lp
 
 
-@pytest.mark.parametrize("solve", [solve_highs, solve_simplex, solve_tableau])
+def _mixed_lp() -> LinearProgram:
+    """EQ + GE rows so phase 1 genuinely runs."""
+    lp = LinearProgram("mixed")
+    x = lp.add_variable(objective=1.0)
+    y = lp.add_variable(objective=2.0)
+    z = lp.add_variable(objective=0.5, upper=3.0)
+    lp.add_constraint([(x, 1.0), (y, 1.0), (z, 1.0)], Sense.EQ, 4.0)
+    lp.add_constraint([(x, 1.0), (y, -1.0)], Sense.GE, 1.0)
+    return lp
+
+
+@pytest.mark.parametrize("solve", [solve_highs, solve_simplex])
 class TestBothBackends:
     def test_simple_min(self, solve):
         lp = LinearProgram()
@@ -99,11 +111,39 @@ class TestBothBackends:
         assert sol.objective == pytest.approx(-7.0)
 
 
+class TestSimplexTelemetry:
+    def test_solution_carries_counters(self):
+        sol = solve_simplex(_mixed_lp())
+        assert sol.iterations > 0
+        assert sol.refactorizations >= 0
+        assert sol.solve_ms > 0.0
+
+    def test_telemetry_dict_is_flat_floats(self):
+        tele = solve_simplex(_mixed_lp()).telemetry()
+        assert set(tele) >= {"iterations", "refactorizations", "solve_ms"}
+        assert all(isinstance(v, float) for v in tele.values())
+
+
+class TestSimplexBudget:
+    def test_expired_time_limit_raises_stage_timeout(self):
+        with pytest.raises(StageTimeoutError) as exc_info:
+            solve_simplex(_mixed_lp(), time_limit=-1.0)
+        err = exc_info.value
+        assert err.stage == "lp"
+        assert err.backend == "simplex"
+        assert "simplex exceeded its time limit" in str(err)
+
+    def test_ambient_budget_raises_stage_timeout(self):
+        clock = FakeClock(step=10.0)
+        with budget_scope(SolveBudget(wall_clock=5.0, clock=clock)):
+            with pytest.raises(StageTimeoutError):
+                solve_simplex(_mixed_lp())
+
+
 class TestBackendRegistry:
     def test_lookup(self):
         assert get_backend("highs") is not None
         assert get_backend("simplex") is not None
-        assert get_backend("tableau") is not None
         with pytest.raises(KeyError):
             get_backend("cplex")
 
@@ -131,11 +171,8 @@ def test_simplex_matches_highs_on_random_bounded_lps(data, nvar, ncon):
         lp.add_constraint(terms, Sense.LE, rhs)
     h = solve_highs(lp)
     s = solve_simplex(lp)
-    t = solve_tableau(lp)
-    assert h.ok and s.ok and t.ok
+    assert h.ok and s.ok
     assert s.objective == pytest.approx(h.objective, abs=1e-6)
-    assert t.objective == pytest.approx(h.objective, abs=1e-6)
-    # All solutions satisfy the constraints independently.
+    # Both solutions satisfy the constraints independently.
     assert lp.constraint_violation(h.x) < 1e-6
     assert lp.constraint_violation(s.x) < 1e-6
-    assert lp.constraint_violation(t.x) < 1e-6

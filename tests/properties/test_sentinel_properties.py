@@ -26,10 +26,9 @@ from repro.lp import (
     check_solution,
     solve_highs,
     solve_simplex,
-    solve_tableau,
 )
 
-_BACKENDS = (solve_highs, solve_simplex, solve_tableau)
+_BACKENDS = (solve_highs, solve_simplex)
 
 
 def _random_lp(seed: int) -> LinearProgram:

@@ -1,4 +1,4 @@
-"""The result-corruption injectors: seam, restore semantics, helpers."""
+"""The result-corruption injector: seam and restore semantics."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ import pytest
 from repro.core.solver import ISEConfig, ISESolver, solve_ise
 from repro.core.validate import check_ise
 from repro.instances import mixed_instance
-from repro.lp import Basis, BasisStash
-from repro.testing import (
-    FaultPlan,
-    inject_ise_corruption,
-    poison_stash,
-    scrambled_basis,
-)
+from repro.testing import FaultPlan, inject_ise_corruption
 
 
 @pytest.fixture(scope="module")
@@ -46,25 +40,3 @@ class TestInjectIseCorruption:
                 raise RuntimeError("boom")
         assert ISESolver._certified is original
 
-
-class TestScrambledBasis:
-    def test_rotation_keeps_shape_but_moves_every_column(self) -> None:
-        basis = Basis(m=3, n=6, basic=(0, 2, 4), at_upper=(5,))
-        bad = scrambled_basis(basis)
-        assert bad.matches(3, 6)  # still shaped right: the dangerous kind
-        assert bad.basic != basis.basic
-        assert len(set(bad.basic)) == len(bad.basic)  # still a valid tuple
-
-
-class TestPoisonStash:
-    def test_replaces_every_entry_in_place(self) -> None:
-        stash = BasisStash()
-        basis = Basis(m=2, n=4, basic=(0, 1))
-        stash.put("a", basis)
-        stash.put("b", basis)
-        assert poison_stash(stash) == 2
-        assert stash.get("a") != basis
-        assert stash.get("a").matches(2, 4)
-
-    def test_empty_stash_poisons_nothing(self) -> None:
-        assert poison_stash(BasisStash()) == 0

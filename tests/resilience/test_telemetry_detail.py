@@ -1,7 +1,7 @@
 """Per-attempt backend telemetry: the ``detail`` field on StageAttempt.
 
 ``run_with_fallbacks(..., telemetry=...)`` extracts solver counters (LP
-iterations, warm-start flags, ...) from a successful result and attaches
+iterations, refactorizations, ...) from a successful result and attaches
 them to the ``ok`` attempt record, where the serve layer and benches read
 them back.  Telemetry is observability, never control flow: a hook that
 raises must be swallowed, and the counters must survive the report's
@@ -29,13 +29,13 @@ class TestDetailRoundTrip:
                 "ok",
                 attempt=1,
                 elapsed=0.25,
-                detail={"iterations": 42.0, "warm_started": 1.0},
+                detail={"iterations": 42.0, "refactorizations": 1.0},
             )
         )
         restored = ResilienceReport.from_dict(report.to_dict())
         assert restored.attempts[0].detail == {
             "iterations": 42.0,
-            "warm_started": 1.0,
+            "refactorizations": 1.0,
         }
         assert restored.to_dict() == report.to_dict()
 

@@ -311,42 +311,3 @@ def test_http_client_never_receives_an_invalid_schedule() -> None:
         service.shutdown(drain_deadline=5.0)
         httpd.server_close()
 
-
-def test_poisoned_stash_is_routed_around() -> None:
-    """Scrambled bases in the warm-start stash cost repairs, not correctness."""
-    from repro.lp import BasisStash
-    from repro.testing import poison_stash
-
-    from repro.instances import long_window_instance
-
-    instance = long_window_instance(
-        n=10, machines=2, calibration_length=10.0, seed=0
-    ).instance
-    stash = BasisStash()
-    config = ISEConfig(
-        lp_backend="simplex",
-        lp_warm_start=True,
-        lp_warm_stash=stash,
-        verify=True,
-    )
-
-    first = ISEConfig(
-        lp_backend="simplex", lp_warm_start=True, lp_warm_stash=stash
-    )
-    from repro.core.solver import solve_ise
-
-    baseline = solve_ise(instance, first)
-    assert len(stash) > 0
-    poisoned = poison_stash(stash)
-    assert poisoned > 0
-
-    result = solve_ise(instance, config)
-    check_ise(instance, result.schedule, context="poisoned-stash")
-    assert result.certificate is not None and result.certificate.ok
-    assert result.num_calibrations == baseline.num_calibrations
-    # The poisoned bases were routed around (stale-point phase-1 fallback
-    # or sentinel eviction) and overwritten with fresh ones: a further warm
-    # solve replays cleanly and still certifies.
-    again = solve_ise(instance, config)
-    assert again.certificate is not None and again.certificate.ok
-    assert again.num_calibrations == baseline.num_calibrations
