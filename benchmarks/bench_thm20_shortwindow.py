@@ -37,11 +37,7 @@ def bench_thm20_shortwindow(benchmark, report):
             result = solver.solve(gen.instance)
             valid = validate_ise(gen.instance, result.schedule).ok
             alpha = max(
-                (
-                    r.mm_machines / r.mm_lower_bound
-                    for r in result.intervals
-                    if r.mm_lower_bound
-                ),
+                (r.mm_machines / r.mm_lower_bound for r in result.intervals),
                 default=1.0,
             )
             lb = result.calibration_lower_bound

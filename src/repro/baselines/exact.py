@@ -19,9 +19,10 @@ import itertools
 import math
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ..core.errors import InfeasibleInstanceError, LimitExceededError, SolverError
 from ..core.job import Instance, Job
@@ -88,28 +89,25 @@ def unit_matching_feasible(
     Each calibration at start ``c`` offers slots ``c, c+1, ..., c+T-1``;
     job ``j`` may take slot ``s`` iff ``r_j <= s < d_j``.  Unit jobs make
     feasibility a bipartite matching question, decided exactly here with
-    Hopcroft-Karp.
+    Hopcroft-Karp (SciPy's ``maximum_bipartite_matching``).
     """
     T = calibration_length
-    graph = nx.Graph()
-    job_nodes = [("job", j.job_id) for j in jobs]
-    graph.add_nodes_from(job_nodes, bipartite=0)
-    slot_nodes = [
-        ("slot", idx, s)
-        for idx, c in enumerate(calibration_starts)
-        for s in range(c, c + T)
-    ]
-    graph.add_nodes_from(slot_nodes, bipartite=1)
-    for j in jobs:
+    rows: list[int] = []
+    cols: list[int] = []
+    for row, j in enumerate(jobs):
         for idx, c in enumerate(calibration_starts):
             lo = max(c, int(j.release))
             hi = min(c + T, int(j.deadline))
-            for s in range(lo, hi):
-                graph.add_edge(("job", j.job_id), ("slot", idx, s))
-    matching = nx.bipartite.maximum_matching(graph, top_nodes=job_nodes)
-    # maximum_matching returns both directions; count job-side entries.
-    matched = sum(1 for node in matching if node[0] == "job")
-    return matched == len(jobs)
+            # Slot s of calibration idx is column idx * T + (s - c).
+            cols.extend(idx * T + (s - c) for s in range(lo, hi))
+            rows.extend([row] * max(0, hi - lo))
+    graph = csr_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
+        shape=(len(jobs), len(calibration_starts) * T),
+    )
+    # Per job row, its matched slot column, or -1 when unmatched.
+    matching = maximum_bipartite_matching(graph, perm_type="column")
+    return bool((matching >= 0).all())
 
 
 def _max_overlap_starts(starts: Sequence[int], T: int) -> int:

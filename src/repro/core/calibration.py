@@ -11,7 +11,8 @@ difficult version" of the problem, which is the one we implement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InvalidScheduleError
@@ -95,9 +96,19 @@ class CalibrationSchedule:
         """The objective value: total number of calibrations."""
         return len(self.calibrations)
 
+    @cached_property
+    def _by_machine(self) -> dict[int, tuple[Calibration, ...]]:
+        # Built once on first use (cached_property writes through __dict__,
+        # which frozen dataclasses permit); turns on_machine from a scan of
+        # every calibration into a lookup, in time order, ready to bisect.
+        grouped: dict[int, list[Calibration]] = {}
+        for cal in self.calibrations:
+            grouped.setdefault(cal.machine, []).append(cal)
+        return {machine: tuple(cals) for machine, cals in grouped.items()}
+
     def on_machine(self, machine: int) -> tuple[Calibration, ...]:
         """Calibrations on one machine, in time order."""
-        return tuple(c for c in self.calibrations if c.machine == machine)
+        return self._by_machine.get(machine, ())
 
     def overlap_violations(self, eps: float = EPS) -> list[tuple[Calibration, Calibration]]:
         """Pairs of same-machine calibrations whose intervals overlap.

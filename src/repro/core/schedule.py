@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .calibration import Calibration, CalibrationSchedule
 from .errors import InvalidScheduleError
-from .tolerance import EPS
+from .tolerance import EPS, leq
 
 __all__ = ["ScheduledJob", "Schedule"]
 
@@ -115,12 +115,25 @@ class Schedule:
         """The calibration on the placement's machine containing its execution.
 
         Returns None when no calibration contains it — which the validator
-        reports as a feasibility violation.
+        reports as a feasibility violation.  When several calibrations
+        contain it (footnote-3 overlapping variant), the earliest wins.
         """
+        # ``covers`` holds on a contiguous run of the machine's time-ordered
+        # calibrations: its end test from some index on, its start test up
+        # to some index.  So the first calibration passing the end test,
+        # found by bisection, is the first match or there is none.
+        cals = self.calibrations.on_machine(placement.machine)
+        T = self.calibration_length
         end = placement.end(processing, self.speed)
-        for cal in self.calibrations.on_machine(placement.machine):
-            if cal.covers(placement.start, end, self.calibration_length, eps):
-                return cal
+        lo, hi = 0, len(cals)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if leq(end, cals[mid].start + T, eps):
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo < len(cals) and cals[lo].covers(placement.start, end, T, eps):
+            return cals[lo]
         return None
 
     def prune_empty_calibrations(

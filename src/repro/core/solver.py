@@ -531,16 +531,21 @@ class ISESolver:
             )
             times["validate"] = time.perf_counter() - tic
 
+        # The short pipeline already computed the Lemma 18 bound on the same
+        # partition, gamma and speed 1.0; only a degraded short side needs
+        # it computed here.
+        if short_result is not None:
+            short_interval = short_result.calibration_lower_bound
+        elif split.short_jobs:
+            short_interval = short_window_lower_bound(
+                split.short_jobs, T, gamma=cfg.window_factor
+            )
+        else:
+            short_interval = 0.0
         lower = LowerBoundBreakdown(
             work=work_lower_bound(instance.jobs, T),
             long_lp=(long_result.lower_bound if long_result else 0.0),
-            short_interval=(
-                short_window_lower_bound(
-                    split.short_jobs, T, gamma=cfg.window_factor
-                )
-                if split.short_jobs
-                else 0.0
-            ),
+            short_interval=short_interval,
         )
         report.record_times(times)
         return self._certified(

@@ -17,13 +17,16 @@ minimum preemptively-feasible ``w`` lower-bounds the nonpreemptive MM optimum
 ``w*``.  This is the certified denominator used when measuring the empirical
 approximation factor ``alpha`` of the MM black boxes, and it feeds the
 Lemma 18 calibration lower bound.
+
+The maximum flow is a small Dinic solver on float capacities.  The network
+is built once per job set; only the interval->sink capacities change with
+``w``, so the binary search over ``w`` re-runs the flow on a fresh copy of
+the capacity array.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import networkx as nx
 
 from ..core.job import Job
 from ..core.tolerance import EPS, LOOSE_EPS, geq, leq
@@ -45,6 +48,95 @@ def elementary_intervals(jobs: Sequence[Job]) -> list[tuple[float, float]]:
     ]
 
 
+class _HornNetwork:
+    """Horn's network for one job set, with ``w`` left open.
+
+    Edges live in parallel arrays: edge ``e`` runs to ``head[e]`` with
+    capacity ``capacity[e]``, and ``e ^ 1`` is its residual twin.  Node 0 is
+    the source, node 1 the sink, then one node per job and per interval.
+    """
+
+    def __init__(self, jobs: Sequence[Job], speed: float) -> None:
+        intervals = elementary_intervals(jobs)
+        self.total_work = sum(j.processing for j in jobs) / speed
+        self.adjacency: list[list[int]] = [
+            [] for _ in range(2 + len(jobs) + len(intervals))
+        ]
+        self.head: list[int] = []
+        self.capacity: list[float] = []
+        self.sink_edges: list[tuple[int, float]] = []
+        first_interval = 2 + len(jobs)
+        for k, (a, b) in enumerate(intervals):
+            self.sink_edges.append((self._add(first_interval + k, 1, 0.0), b - a))
+        for i, j in enumerate(jobs):
+            self._add(0, 2 + i, j.processing / speed)
+            for k, (a, b) in enumerate(intervals):
+                if geq(a, j.release) and leq(b, j.deadline):
+                    self._add(2 + i, first_interval + k, b - a)
+
+    def _add(self, u: int, v: int, capacity: float) -> int:
+        edge = len(self.head)
+        self.head += [v, u]
+        self.capacity += [capacity, 0.0]
+        self.adjacency[u].append(edge)
+        self.adjacency[v].append(edge + 1)
+        return edge
+
+    def max_flow(self, w: int) -> float:
+        """Maximum source->sink flow with ``w`` machines (Dinic)."""
+        capacity = list(self.capacity)
+        for edge, length in self.sink_edges:
+            capacity[edge] = w * length
+        head, adjacency = self.head, self.adjacency
+        flow = 0.0
+        while True:
+            level = [-1] * len(adjacency)
+            level[0] = 0
+            queue = [0]
+            for u in queue:
+                for e in adjacency[u]:
+                    if capacity[e] > 0.0 and level[head[e]] < 0:
+                        level[head[e]] = level[u] + 1
+                        queue.append(head[e])
+            if level[1] < 0:
+                return flow
+            # Walk level-increasing edges from the source; at the sink,
+            # push the path's bottleneck and start again from the source.
+            cursor = [0] * len(adjacency)
+            path: list[int] = []
+            u = 0
+            while True:
+                if u == 1:
+                    push = min(capacity[e] for e in path)
+                    for e in path:
+                        capacity[e] -= push
+                        capacity[e ^ 1] += push
+                    flow += push
+                    path.clear()
+                    u = 0
+                    continue
+                edges = adjacency[u]
+                while cursor[u] < len(edges):
+                    e = edges[cursor[u]]
+                    if capacity[e] > 0.0 and level[head[e]] == level[u] + 1:
+                        break
+                    cursor[u] += 1
+                else:
+                    # Dead end: retreat one edge and skip it from now on.
+                    if u == 0:
+                        break
+                    level[u] = -1
+                    u = head[path.pop() ^ 1]
+                    cursor[u] += 1
+                    continue
+                path.append(e)
+                u = head[e]
+
+    def feasible(self, w: int) -> bool:
+        total = self.total_work
+        return self.max_flow(w) >= total - _FLOW_TOL * max(1.0, total)
+
+
 def preemptive_feasible(
     jobs: Sequence[Job], w: int, speed: float = 1.0
 ) -> bool:
@@ -53,21 +145,7 @@ def preemptive_feasible(
         return True
     if w <= 0:
         return False
-    intervals = elementary_intervals(jobs)
-    total_work = sum(j.processing for j in jobs) / speed
-
-    graph = nx.DiGraph()
-    source, sink = "s", "t"
-    for j in jobs:
-        graph.add_edge(source, ("job", j.job_id), capacity=j.processing / speed)
-    for k, (a, b) in enumerate(intervals):
-        length = b - a
-        graph.add_edge(("ivl", k), sink, capacity=w * length)
-        for j in jobs:
-            if geq(a, j.release) and leq(b, j.deadline):
-                graph.add_edge(("job", j.job_id), ("ivl", k), capacity=length)
-    flow_value, _ = nx.maximum_flow(graph, source, sink)
-    return flow_value >= total_work - _FLOW_TOL * max(1.0, total_work)
+    return _HornNetwork(jobs, speed).feasible(w)
 
 
 def preemptive_machine_lower_bound(
@@ -81,10 +159,11 @@ def preemptive_machine_lower_bound(
     """
     if not jobs:
         return 0
+    network = _HornNetwork(jobs, speed)
     lo, hi = 1, len(jobs)
     while lo < hi:
         mid = (lo + hi) // 2
-        if preemptive_feasible(jobs, mid, speed):
+        if network.feasible(mid):
             hi = mid
         else:
             lo = mid + 1

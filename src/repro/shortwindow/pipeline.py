@@ -39,7 +39,8 @@ from ..core.resilience import (
     current_budget,
     run_with_fallbacks,
 )
-from ..core.schedule import Schedule, ScheduledJob, empty_schedule
+from ..core.calibration import Calibration, CalibrationSchedule
+from ..core.schedule import Schedule, ScheduledJob
 from ..core.validate import check_ise
 from ..mm.base import MMAlgorithm, MMSchedule, check_mm
 from ..mm.preemptive_bound import preemptive_machine_lower_bound
@@ -185,8 +186,6 @@ class ShortWindowConfig:
         speed: machine speed handed to the MM black box.
         prune_empty: drop job-less calibrations from the delivered schedule.
         validate: run the independent ISE validator on the output.
-        compute_lower_bounds: also compute per-interval preemptive MM lower
-            bounds (used by the Lemma 18 calibration lower bound).
         overlapping_calibrations: select the paper's footnote-3 variant in
             which calibrations may be invoked less than ``T`` apart; crossing
             jobs then need no extra machines (``w`` instead of ``3w`` per
@@ -216,7 +215,6 @@ class ShortWindowConfig:
     speed: float = 1.0
     prune_empty: bool = True
     validate: bool = True
-    compute_lower_bounds: bool = True
     overlapping_calibrations: bool = False
     resilience: ResiliencePolicy | None = None
     max_workers: int | None = None
@@ -237,7 +235,7 @@ class IntervalReport:
     mm_machines: int
     crossing_jobs: int
     calibrations: int
-    mm_lower_bound: int | None
+    mm_lower_bound: int
 
 
 @dataclass(frozen=True)
@@ -273,22 +271,17 @@ class ShortWindowResult:
         """Lemma 18: ``max over passes of sum_i w_i^LB / 2``.
 
         Uses preemptive flow bounds ``w_i^LB <= w_i*``, so this is a valid
-        lower bound on the optimal number of ISE calibrations.  0.0 when
-        lower bounds were not computed.
+        lower bound on the optimal number of ISE calibrations.
         """
         sums = [0.0, 0.0]
         for report in self.intervals:
-            if report.mm_lower_bound is not None:
-                sums[report.pass_index] += report.mm_lower_bound
+            sums[report.pass_index] += report.mm_lower_bound
         return max(sums) / 2.0
 
     @property
     def machine_lower_bound(self) -> int:
         """Lemma 18: ``max_i w_i^LB`` lower-bounds the ISE machine count."""
-        return max(
-            (r.mm_lower_bound for r in self.intervals if r.mm_lower_bound is not None),
-            default=0,
-        )
+        return max((r.mm_lower_bound for r in self.intervals), default=0)
 
 
 class ShortWindowSolver:
@@ -325,10 +318,11 @@ class ShortWindowSolver:
         times["partition"] = time.perf_counter() - tic
 
         reports: list[IntervalReport] = []
-        pass_schedules: list[Schedule] = [
-            empty_schedule(T, num_machines=0, speed=cfg.speed),
-            empty_schedule(T, num_machines=0, speed=cfg.speed),
-        ]
+        # Per pass: the pool size and the calibrations and placements of its
+        # intervals, gathered here and turned into one Schedule per pass.
+        pools = [0, 0]
+        pass_calibrations: list[list[Calibration]] = [[], []]
+        pass_placements: list[list[ScheduledJob]] = [[], []]
         lift_time = 0.0
         workers_used = effective_workers(
             cfg.max_workers, len(partition.buckets), cfg.parallel_mode
@@ -426,11 +420,6 @@ class ShortWindowSolver:
             )
             lift_time += time.perf_counter() - tic
 
-            lower = (
-                preemptive_machine_lower_bound(bucket.jobs, cfg.speed)
-                if cfg.compute_lower_bounds
-                else None
-            )
             reports.append(
                 IntervalReport(
                     pass_index=bucket.pass_index,
@@ -440,33 +429,37 @@ class ShortWindowSolver:
                     mm_machines=lifted.mm_machines,
                     crossing_jobs=lifted.crossing_jobs,
                     calibrations=lifted.total_calibrations,
-                    mm_lower_bound=lower,
+                    mm_lower_bound=preemptive_machine_lower_bound(
+                        bucket.jobs, cfg.speed
+                    ),
                 )
             )
             # Union within the pass: the interval schedule's machine indices
             # overlay the pass pool directly (calibrations are nested in
             # disjoint intervals, so same-index reuse cannot clash).
-            current = pass_schedules[bucket.pass_index]
-            pool = max(
-                current.num_machines, lifted.schedule.num_machines
-            )
-            pass_schedules[bucket.pass_index] = Schedule(
-                calibrations=current.calibrations.__class__(
-                    calibrations=current.calibrations.calibrations
-                    + lifted.schedule.calibrations.calibrations,
-                    num_machines=pool,
-                    calibration_length=T,
-                ),
-                placements=current.placements + lifted.schedule.placements,
-                speed=cfg.speed,
-            )
+            k = bucket.pass_index
+            pools[k] = max(pools[k], lifted.schedule.num_machines)
+            pass_calibrations[k].extend(lifted.schedule.calibrations)
+            pass_placements[k].extend(lifted.schedule.placements)
         times["mm"] = mm_wall
         # Summed per-bucket solve time: with workers > 1 this exceeds the
         # "mm" wall time, and their ratio is the realized MM speedup.
         times["mm_cpu"] = mm_cpu
         times["lift"] = lift_time
 
-        merged = pass_schedules[0].merged_with(pass_schedules[1])
+        pass0, pass1 = (
+            Schedule(
+                calibrations=CalibrationSchedule(
+                    calibrations=tuple(pass_calibrations[k]),
+                    num_machines=pools[k],
+                    calibration_length=T,
+                ),
+                placements=tuple(pass_placements[k]),
+                speed=cfg.speed,
+            )
+            for k in (0, 1)
+        )
+        merged = pass0.merged_with(pass1)
         unpruned = merged.num_calibrations
         if cfg.prune_empty:
             merged = merged.prune_empty_calibrations(

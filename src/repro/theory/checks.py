@@ -165,11 +165,7 @@ def check_theorem20(
         allow_overlapping_calibrations=True,  # covers both problem variants
     ).ok
     alpha = max(
-        (
-            r.mm_machines / r.mm_lower_bound
-            for r in result.intervals
-            if r.mm_lower_bound
-        ),
+        (r.mm_machines / r.mm_lower_bound for r in result.intervals),
         default=1.0,
     )
     w_star = max(result.machine_lower_bound, 1)

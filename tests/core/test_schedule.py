@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from repro.core import (
     Calibration,
@@ -12,6 +14,7 @@ from repro.core import (
     ScheduledJob,
 )
 from repro.core.schedule import empty_schedule
+from repro.core.tolerance import EPS
 
 
 def _cals(*entries, machines=2, T=10.0):
@@ -92,6 +95,87 @@ class TestEnclosingCalibration:
             placements=(ScheduledJob(1.0, 0, 1),),
         )
         assert sched.enclosing_calibration(sched.placement_of(1), 2.0) is None
+
+
+def _linear_scan(sched, placement, processing, eps=EPS):
+    """The reference lookup: first covering calibration in time order."""
+    end = placement.end(processing, sched.speed)
+    for cal in sched.calibrations:
+        if cal.machine == placement.machine and cal.covers(
+            placement.start, end, sched.calibration_length, eps
+        ):
+            return cal
+    return None
+
+
+class TestIndexedLookupMatchesLinearScan:
+    @pytest.mark.parametrize(
+        "start, processing",
+        [
+            (20.0 - EPS, 3.0),  # starts EPS early: still inside
+            (20.0 - 2 * EPS, 3.0),  # starts 2 EPS early: outside
+            (27.0 + EPS, 3.0),  # ends EPS late: still inside
+            (27.0 + 2 * EPS, 3.0),  # ends 2 EPS late: outside
+            (10.0 - EPS, 10.0 + 2 * EPS),  # spans [0, 10) and [10, 20) by EPS
+            (30.0 - EPS, 1.0),  # at the end of the last calibration
+        ],
+    )
+    def test_eps_boundaries(self, start, processing):
+        sched = Schedule(
+            calibrations=_cals((0.0, 0), (10.0, 0), (20.0, 0)),
+            placements=(ScheduledJob(start, 0, 1),),
+        )
+        placement = sched.placement_of(1)
+        for eps in (EPS, 0.0):
+            assert sched.enclosing_calibration(
+                placement, processing, eps
+            ) == _linear_scan(sched, placement, processing, eps)
+
+    def test_overlapping_calibrations_return_the_earliest_cover(self):
+        # Footnote-3 variant: calibrations 2 apart, so [6, 8) sits in the
+        # calibrations at 0, 2, 4 and 6 on machine 0.
+        cals = _cals(*((float(s), 0) for s in range(0, 12, 2)), (0.0, 1))
+        sched = Schedule(calibrations=cals, placements=(ScheduledJob(6.0, 0, 1),))
+        assert sum(
+            c.covers(6.0, 8.0, 10.0) for c in cals.on_machine(0)
+        ) == 4
+        cal = sched.enclosing_calibration(sched.placement_of(1), 2.0)
+        assert cal == Calibration(0.0, 0) == _linear_scan(
+            sched, sched.placement_of(1), 2.0
+        )
+
+    @given(
+        starts=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 2)), max_size=12
+        ),
+        probes=st.lists(
+            st.tuples(
+                st.integers(-4, 50),
+                st.integers(0, 2),
+                st.integers(1, 12),
+                st.sampled_from((-EPS, -EPS / 2, 0.0, EPS / 2, EPS)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        speed=st.sampled_from((0.5, 1.0, 2.0)),
+    )
+    def test_random_schedules(self, starts, probes, speed):
+        # Integer starts 0..40 with T=10: calibrations on a machine
+        # overlap freely, as under overlapping_calibrations=True.
+        sched = Schedule(
+            calibrations=_cals(*((float(s), m) for s, m in starts), machines=3),
+            placements=tuple(
+                ScheduledJob(s + nudge, m, i)
+                for i, (s, m, _, nudge) in enumerate(probes)
+            ),
+            speed=speed,
+        )
+        for i, (_, _, processing, _) in enumerate(probes):
+            placement = sched.placement_of(i)
+            assert sched.enclosing_calibration(
+                placement, float(processing)
+            ) == _linear_scan(sched, placement, float(processing))
 
 
 class TestPruneAndCompact:

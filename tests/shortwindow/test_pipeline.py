@@ -71,11 +71,7 @@ class TestTheorem20Accounting:
         lb = result.calibration_lower_bound
         assert lb > 0
         # Measured alpha per interval: w_i / w_i^LB.
-        alpha = max(
-            r.mm_machines / r.mm_lower_bound
-            for r in result.intervals
-            if r.mm_lower_bound
-        )
+        alpha = max(r.mm_machines / r.mm_lower_bound for r in result.intervals)
         assert result.unpruned_calibrations <= 16 * gamma * alpha * lb + 1e-6
 
     def test_interval_reports_consistent(self):
@@ -85,19 +81,8 @@ class TestTheorem20Accounting:
         result = ShortWindowSolver().solve(gen.instance)
         assert sum(r.num_jobs for r in result.intervals) == gen.instance.n
         for report in result.intervals:
-            assert report.mm_lower_bound is not None
             assert report.mm_lower_bound <= report.mm_machines
             assert report.crossing_jobs <= report.num_jobs
-
-    def test_lower_bounds_can_be_disabled(self):
-        gen = short_window_instance(
-            n=10, machines=1, calibration_length=10.0, seed=0
-        )
-        result = ShortWindowSolver(
-            ShortWindowConfig(compute_lower_bounds=False)
-        ).solve(gen.instance)
-        assert all(r.mm_lower_bound is None for r in result.intervals)
-        assert result.calibration_lower_bound == 0.0
 
 
 class TestPruning:
