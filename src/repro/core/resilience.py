@@ -24,9 +24,9 @@ Three cooperating pieces:
   best_greedy -> greedy_edf``) with per-candidate retry/backoff, executed
   by one generic engine that records every attempt.
 
-* :class:`ResilienceReport` — the attempt/retry/fallback/wall-time record
-  attached to results so operators can see *how* an answer was produced,
-  not just what it is.
+* :class:`ResilienceReport` — the attempt/retry/fallback record attached
+  to results so operators can see *how* an answer was produced, not just
+  what it is.  Stage timings live in ``ISEResult.wall_times``.
 
 ``strict`` mode (the default) disables fallbacks and degradation: errors
 propagate, carrying structured context.  ``strict=False`` turns every
@@ -407,8 +407,7 @@ class StageAttempt:
     ``detail`` carries backend-reported numeric telemetry for successful
     attempts (e.g. LP ``iterations`` / ``refactorizations`` /
     ``solve_ms``), populated through the ``telemetry`` hook of
-    :func:`run_with_fallbacks`.  It round-trips losslessly through
-    ``to_dict``/``from_dict`` so checkpointed shards keep it.
+    :func:`run_with_fallbacks`, and is serialized by ``to_dict``.
     """
 
     stage: str
@@ -431,13 +430,13 @@ class ResilienceReport:
     ``attempts`` records every try (including successes); ``fallbacks``
     lists the chain hops that were actually taken, human-readably;
     ``degraded`` is True when any non-primary path produced part of the
-    answer; ``wall_times`` mirrors the per-stage timing dicts.
+    answer.  Stage timings are not kept here: they live in the result's
+    ``wall_times``.
     """
 
     attempts: list[StageAttempt] = field(default_factory=list)
     fallbacks: list[str] = field(default_factory=list)
     degraded: bool = False
-    wall_times: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
     def record(self, attempt: StageAttempt) -> None:
@@ -456,12 +455,7 @@ class ResilienceReport:
         """
         self.notes.append(note)
 
-    def record_times(self, times: Mapping[str, float], prefix: str = "") -> None:
-        for key, value in times.items():
-            name = f"{prefix}.{key}" if prefix else key
-            self.wall_times[name] = self.wall_times.get(name, 0.0) + value
-
-    def merge(self, other: "ResilienceReport | None", prefix: str = "") -> None:
+    def merge(self, other: "ResilienceReport | None") -> None:
         """Fold a sub-pipeline's report into this one."""
         if other is None:
             return
@@ -469,7 +463,6 @@ class ResilienceReport:
         self.fallbacks.extend(other.fallbacks)
         self.degraded = self.degraded or other.degraded
         self.notes.extend(other.notes)
-        self.record_times(other.wall_times, prefix=prefix)
 
     @property
     def num_retries(self) -> int:
@@ -497,7 +490,7 @@ class ResilienceReport:
         return ", ".join(parts)
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready form for logs, the CLI, and checkpoint journals."""
+        """JSON-ready form for logs, the CLI, and the ``/solve`` body."""
         return {
             "degraded": self.degraded,
             "fallbacks": list(self.fallbacks),
@@ -514,51 +507,7 @@ class ResilienceReport:
                 }
                 for a in self.attempts
             ],
-            "wall_times": dict(self.wall_times),
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ResilienceReport":
-        """Rebuild a report from :meth:`to_dict` output (journal replay).
-
-        ``to_dict`` -> ``from_dict`` is lossless: the checkpoint layer
-        relies on a restored shard's report being equal to the one a fresh
-        solve would have produced.
-        """
-        def as_list(value: object) -> list[object]:
-            return list(value) if isinstance(value, list) else []
-
-        attempts = [
-            StageAttempt(
-                stage=str(a.get("stage", "")),
-                backend=str(a.get("backend", "")),
-                outcome=str(a.get("outcome", "")),
-                attempt=int(str(a.get("attempt", 1))),
-                elapsed=float(str(a.get("elapsed", 0.0))),
-                error=str(a.get("error", "")),
-                detail={
-                    str(k): float(str(v))
-                    for k, v in a.get("detail", {}).items()
-                }
-                if isinstance(a.get("detail"), dict)
-                else {},
-            )
-            for a in as_list(payload.get("attempts"))
-            if isinstance(a, dict)
-        ]
-        wall_raw = payload.get("wall_times")
-        wall_times = (
-            {str(k): float(str(v)) for k, v in wall_raw.items()}
-            if isinstance(wall_raw, dict)
-            else {}
-        )
-        return cls(
-            attempts=attempts,
-            fallbacks=[str(f) for f in as_list(payload.get("fallbacks"))],
-            degraded=bool(payload.get("degraded", False)),
-            wall_times=wall_times,
-            notes=[str(n) for n in as_list(payload.get("notes"))],
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -63,17 +63,17 @@ from .validate import check_ise
 
 __all__ = ["ISEConfig", "ISEResult", "solve_ise", "ISESolver"]
 
-_HalfT = TypeVar("_HalfT")
 
-# Outcome tuples produced by :func:`_timed_outcome` for the two halves.
-_LongOutcome = tuple["LongWindowResult | None", "BaseException | None", float]
-_ShortOutcome = tuple["ShortWindowResult | None", "BaseException | None", float]
+_HalfT = TypeVar("_HalfT", LongWindowResult, ShortWindowResult)
+
+# A half-solve's result *or* exception, plus its elapsed seconds.
+_Outcome = tuple[_HalfT | BaseException, float]
 
 
 def _timed_outcome(
-    thunk: Callable[[], _HalfT],
-) -> tuple[_HalfT | None, BaseException | None, float]:
-    """Run ``thunk``, capturing its result *or* exception plus elapsed time.
+    solve: Callable[[Instance], _HalfT], half_instance: Instance
+) -> _Outcome[_HalfT]:
+    """Run ``solve(half_instance)``, capturing its result *or* exception.
 
     Never raises, which lets two half-solves run concurrently and have their
     outcomes absorbed afterwards in a fixed order — errors surface with the
@@ -81,9 +81,37 @@ def _timed_outcome(
     """
     tic = time.perf_counter()
     try:
-        return thunk(), None, time.perf_counter() - tic
-    except Exception as exc:  # noqa: BLE001 — re-raised by the handler
-        return None, exc, time.perf_counter() - tic
+        return solve(half_instance), time.perf_counter() - tic
+    except Exception as exc:  # noqa: BLE001 — re-raised by the solver
+        return exc, time.perf_counter() - tic
+
+
+# The rescues import their baselines on first use: only degraded solves
+# run them, and the baselines package pulls in the exact MILP solvers.
+def _greedy_tise(instance: Instance) -> Schedule:
+    from ..baselines.greedy_tise import lazy_tise_greedy
+
+    return lazy_tise_greedy(instance)
+
+
+def _one_calibration_per_job(instance: Instance) -> Schedule:
+    from ..baselines.naive import one_calibration_per_job
+
+    return one_calibration_per_job(instance)
+
+
+@dataclass(frozen=True)
+class _Half:
+    """One side of Theorem 1's split and its always-feasible rescue."""
+
+    side: str  # "long" | "short"; names the stage and the wall_times keys
+    primary: str
+    fallback: str
+    rescue: Callable[[Instance], Schedule]
+
+
+_LONG = _Half("long", "theorem12", "greedy_tise", _greedy_tise)
+_SHORT = _Half("short", "theorem20", "one_calibration_per_job", _one_calibration_per_job)
 
 
 @dataclass(frozen=True)
@@ -186,7 +214,13 @@ class ISEConfig:
 
 @dataclass(frozen=True)
 class ISEResult:
-    """Combined solve output: the schedule plus per-side telemetry."""
+    """Combined solve output: the schedule plus per-side telemetry.
+
+    ``wall_times`` is the solve's one timing record: the solver's own
+    stages (``long``, ``short``, ``validate``, ``certify``,
+    ``lazy_binning``) plus each pipeline's stage seconds copied under a
+    ``long.`` / ``short.`` prefix.
+    """
 
     schedule: Schedule
     partition: JobPartition
@@ -323,14 +357,12 @@ class ISESolver:
     def _degrade(
         self,
         report: ResilienceReport,
-        stage: str,
-        primary: str,
-        fallback_name: str,
+        half: _Half,
+        half_instance: Instance,
         error: BaseException,
         elapsed: float,
-        rescue,
     ) -> Schedule:
-        """Record a failed pipeline and run its always-feasible rescue.
+        """Record a failed pipeline and run (and re-validate) its rescue.
 
         The rescue runs outside any budget scope: it is cheap by
         construction, and killing the last line of defense with the same
@@ -339,11 +371,12 @@ class ISESolver:
         """
         from .errors import StageTimeoutError
 
+        stage = f"{half.side}_pipeline"
         outcome = "timeout" if isinstance(error, StageTimeoutError) else "failed"
         report.record(
             StageAttempt(
                 stage=stage,
-                backend=primary,
+                backend=half.primary,
                 outcome=outcome,
                 elapsed=elapsed,
                 error=f"{type(error).__name__}: {error}",
@@ -351,16 +384,19 @@ class ISESolver:
         )
         tic = time.perf_counter()
         with budget_scope(None):  # mask the (possibly expired) deadline
-            schedule = rescue()
+            schedule = half.rescue(half_instance)
         report.record(
             StageAttempt(
                 stage=stage,
-                backend=fallback_name,
+                backend=half.fallback,
                 outcome="ok",
                 elapsed=time.perf_counter() - tic,
             )
         )
-        report.record_fallback(stage, primary, fallback_name)
+        report.record_fallback(stage, half.primary, half.fallback)
+        check_ise(
+            half_instance, schedule, context=f"degraded {half.side}-window fallback"
+        )
         return schedule
 
     def solve(self, instance: Instance) -> ISEResult:
@@ -374,90 +410,43 @@ class ISESolver:
 
         split = partition_jobs(instance, factor=cfg.window_factor)
 
-        long_result: LongWindowResult | None = None
-        short_result: ShortWindowResult | None = None
-        long_schedule = empty_schedule(T)
-        short_schedule = empty_schedule(T)
         degrade_ok = not policy.strict and policy.pipeline_fallback
 
-        def handle_long(
-            outcome: tuple[LongWindowResult | None, BaseException | None, float],
-            long_instance: Instance,
-        ) -> None:
-            nonlocal long_result, long_schedule
-            result, error, elapsed = outcome
+        def absorb(
+            half: _Half, outcome: _Outcome[_HalfT], half_instance: Instance
+        ) -> tuple[_HalfT | None, Schedule]:
+            """Keep one half's result, or re-raise its error, or degrade.
+
+            An instance error always re-raises; any other error re-raises
+            in strict mode and degrades to ``half.rescue`` otherwise.  The
+            pipeline's own stage times are copied under a ``"<side>."``
+            prefix, so no key is ever summed.
+            """
+            value, elapsed = outcome
             tic = time.perf_counter()
-            if error is not None:
-                if isinstance(error, (InfeasibleInstanceError, InvalidInstanceError)):
-                    raise error  # the instance is at fault; degrading cannot help
+            result: _HalfT | None = None
+            if isinstance(value, BaseException):
+                if isinstance(value, (InfeasibleInstanceError, InvalidInstanceError)):
+                    raise value  # the instance is at fault; degrading cannot help
                 if not degrade_ok:
-                    if isinstance(error, ReproError):
-                        raise error
+                    if isinstance(value, ReproError):
+                        raise value
                     raise SolverError(
-                        f"long-window pipeline crashed: {error}",
-                        stage="long_pipeline",
-                    ) from error
-                from ..baselines.greedy_tise import lazy_tise_greedy
+                        f"{half.side}-window pipeline crashed: {value}",
+                        stage=f"{half.side}_pipeline",
+                    ) from value
+                schedule = self._degrade(report, half, half_instance, value, elapsed)
+            else:
+                result, schedule = value, value.schedule
+                report.merge(value.resilience)
+                for key, seconds in value.wall_times.items():
+                    times[f"{half.side}.{key}"] = seconds
+            times[half.side] = elapsed + (time.perf_counter() - tic)
+            return result, schedule
 
-                long_schedule = self._degrade(
-                    report,
-                    stage="long_pipeline",
-                    primary="theorem12",
-                    fallback_name="greedy_tise",
-                    error=error,
-                    elapsed=elapsed,
-                    rescue=lambda: lazy_tise_greedy(long_instance),
-                )
-                check_ise(
-                    long_instance,
-                    long_schedule,
-                    context="degraded long-window fallback",
-                )
-            elif result is not None:
-                long_result = result
-                long_schedule = result.schedule
-                report.merge(result.resilience)
-            times["long"] = elapsed + (time.perf_counter() - tic)
-
-        def handle_short(
-            outcome: tuple[ShortWindowResult | None, BaseException | None, float],
-            short_instance: Instance,
-        ) -> None:
-            nonlocal short_result, short_schedule
-            result, error, elapsed = outcome
-            tic = time.perf_counter()
-            if error is not None:
-                if isinstance(error, (InfeasibleInstanceError, InvalidInstanceError)):
-                    raise error
-                if not degrade_ok:
-                    if isinstance(error, ReproError):
-                        raise error
-                    raise SolverError(
-                        f"short-window pipeline crashed: {error}",
-                        stage="short_pipeline",
-                    ) from error
-                from ..baselines.naive import one_calibration_per_job
-
-                short_schedule = self._degrade(
-                    report,
-                    stage="short_pipeline",
-                    primary="theorem20",
-                    fallback_name="one_calibration_per_job",
-                    error=error,
-                    elapsed=elapsed,
-                    rescue=lambda: one_calibration_per_job(short_instance),
-                )
-                check_ise(
-                    short_instance,
-                    short_schedule,
-                    context="degraded short-window fallback",
-                )
-            elif result is not None:
-                short_result = result
-                short_schedule = result.schedule
-                report.merge(result.resilience)
-            times["short"] = elapsed + (time.perf_counter() - tic)
-
+        long_result: LongWindowResult | None = None
+        short_result: ShortWindowResult | None = None
+        long_schedule = short_schedule = empty_schedule(T)
         parallel_halves = (
             cfg.max_workers is not None
             and cfg.max_workers > 1
@@ -477,20 +466,8 @@ class ISESolver:
             short_instance: Instance | None = (
                 instance.restricted_to(split.short_jobs) if split.short_jobs else None
             )
-
-            def run_long(
-                inst: Instance,
-            ) -> tuple[LongWindowResult | None, BaseException | None, float]:
-                return _timed_outcome(
-                    lambda: LongWindowSolver(cfg.long_config()).solve(inst)
-                )
-
-            def run_short(
-                inst: Instance,
-            ) -> tuple[ShortWindowResult | None, BaseException | None, float]:
-                return _timed_outcome(
-                    lambda: ShortWindowSolver(cfg.short_config()).solve(inst)
-                )
+            long_solve = LongWindowSolver(cfg.long_config()).solve
+            short_solve = ShortWindowSolver(cfg.short_config()).solve
 
             if (
                 parallel_halves
@@ -507,18 +484,32 @@ class ISESolver:
                 # error precedence and report ordering exactly.
                 li, si = long_instance, short_instance
                 outcomes = parallel_map(
-                    lambda side: run_long(li) if side == "long" else run_short(si),
+                    lambda side: (
+                        _timed_outcome(long_solve, li)
+                        if side == "long"
+                        else _timed_outcome(short_solve, si)
+                    ),
                     ["long", "short"],
                     max_workers=2,
                     mode="thread",
                 )
-                handle_long(cast("_LongOutcome", outcomes[0]), li)
-                handle_short(cast("_ShortOutcome", outcomes[1]), si)
+                long_result, long_schedule = absorb(
+                    _LONG, cast("_Outcome[LongWindowResult]", outcomes[0]), li
+                )
+                short_result, short_schedule = absorb(
+                    _SHORT, cast("_Outcome[ShortWindowResult]", outcomes[1]), si
+                )
             else:
                 if long_instance is not None:
-                    handle_long(run_long(long_instance), long_instance)
+                    long_result, long_schedule = absorb(
+                        _LONG, _timed_outcome(long_solve, long_instance), long_instance
+                    )
                 if short_instance is not None:
-                    handle_short(run_short(short_instance), short_instance)
+                    short_result, short_schedule = absorb(
+                        _SHORT,
+                        _timed_outcome(short_solve, short_instance),
+                        short_instance,
+                    )
 
         merged = long_schedule.merged_with(short_schedule).compact_machines()
         if cfg.validate:
@@ -547,7 +538,6 @@ class ISESolver:
             long_lp=(long_result.lower_bound if long_result else 0.0),
             short_interval=short_interval,
         )
-        report.record_times(times)
         return self._certified(
             instance,
             ISEResult(

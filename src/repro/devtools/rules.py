@@ -1,4 +1,4 @@
-"""The project rule set: codes ``ISE001``–``ISE016``.
+"""The project rule set: codes ``ISE001``–``ISE016`` (ISE004/ISE005 retired).
 
 Every rule encodes one convention the paper's guarantees or the PR-1
 resilience layer depend on.  Rules are pure functions from a parsed
@@ -365,74 +365,6 @@ def _check_nondeterminism(source: SourceFile) -> Iterator[Diagnostic]:
                     "default_rng() without a seed is entropy-seeded; pass "
                     "an explicit seed so runs are reproducible",
                 )
-
-
-# ---------------------------------------------------------------------------
-# ISE004 — mutable default arguments
-# ---------------------------------------------------------------------------
-
-_MUTABLE_DISPLAYS = (
-    ast.List,
-    ast.Dict,
-    ast.Set,
-    ast.ListComp,
-    ast.DictComp,
-    ast.SetComp,
-)
-_MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
-
-
-def _is_mutable_default(node: ast.expr) -> bool:
-    if isinstance(node, _MUTABLE_DISPLAYS):
-        return True
-    if isinstance(node, ast.Call):
-        name = _dotted_name(node.func)
-        return name is not None and name.split(".")[-1] in _MUTABLE_CALLS
-    return False
-
-
-@register(
-    "ISE004",
-    "mutable-default",
-    "mutable default argument is shared across calls; default to None or a field factory",
-)
-def _check_mutable_defaults(source: SourceFile) -> Iterator[Diagnostic]:
-    for node in ast.walk(source.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        args = node.args
-        defaults = list(args.defaults) + [
-            d for d in args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if _is_mutable_default(default):
-                yield source.diagnostic(
-                    default,
-                    "ISE004",
-                    "mutable default argument (evaluated once at def time); "
-                    "use None or dataclasses.field(default_factory=...)",
-                )
-
-
-# ---------------------------------------------------------------------------
-# ISE005 — bare except
-# ---------------------------------------------------------------------------
-
-
-@register(
-    "ISE005",
-    "bare-except",
-    "bare `except:` catches SystemExit/KeyboardInterrupt; name the exceptions",
-)
-def _check_bare_except(source: SourceFile) -> Iterator[Diagnostic]:
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is None:
-            yield source.diagnostic(
-                node,
-                "ISE005",
-                "bare except; catch ReproError (or a concrete subclass) so "
-                "cancellation and interrupts propagate",
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,8 @@ class LongWindowSolver:
         """Run LP -> rounding -> EDF; returns schedule + bound telemetry.
 
         Raises:
+            ValueError: ``rounding_scheme`` is not a known scheme (checked
+                before any LP work).
             InvalidInstanceError: some job has a short window.
             InfeasibleInstanceError: the LP certifies infeasibility on
                 ``m`` machines (via Lemma 2).
@@ -192,6 +194,11 @@ class LongWindowSolver:
                     f"{job.job_id} has window {job.window} < 2T = {2 * T}"
                 )
         cfg = self.config
+        if cfg.rounding_scheme not in ("greedy", "ceil", "best"):
+            raise ValueError(
+                f"unknown rounding scheme {cfg.rounding_scheme!r}; "
+                "expected 'greedy', 'ceil', or 'best'"
+            )
         policy = cfg.resilience or ResiliencePolicy()
         report = ResilienceReport()
         times: dict[str, float] = {}
@@ -243,31 +250,19 @@ class LongWindowSolver:
             times["lp"] = time.perf_counter() - tic
 
         tic = time.perf_counter()
-        if cfg.rounding_scheme not in ("greedy", "ceil", "best"):
-            raise ValueError(
-                f"unknown rounding scheme {cfg.rounding_scheme!r}"
-            )
-        rounding = None
-        if cfg.rounding_scheme in ("greedy", "best"):
+        if cfg.rounding_scheme == "ceil":
+            rounding = round_calibrations_ceil(lp.calibrations, T)
+        else:
             rounding = round_calibrations(
                 lp.calibrations,
                 machine_budget=m_prime,
                 calibration_length=T,
                 threshold=cfg.rounding_threshold,
             )
-        if cfg.rounding_scheme in ("ceil", "best"):
-            ceil_rounding = round_calibrations_ceil(lp.calibrations, T)
-            if (
-                rounding is None
-                or ceil_rounding.num_calibrations < rounding.num_calibrations
-            ):
-                rounding = ceil_rounding
-        if rounding is None:
-            raise SolverError(
-                f"unknown rounding scheme {cfg.rounding_scheme!r}; "
-                "expected 'greedy', 'ceil', or 'best'",
-                stage="rounding",
-            )
+            if cfg.rounding_scheme == "best":
+                ceil_rounding = round_calibrations_ceil(lp.calibrations, T)
+                if ceil_rounding.num_calibrations < rounding.num_calibrations:
+                    rounding = ceil_rounding
         times["rounding"] = time.perf_counter() - tic
 
         tic = time.perf_counter()
@@ -288,7 +283,6 @@ class LongWindowSolver:
             check_tise(instance, schedule, context="long-window pipeline")
             times["validate"] = time.perf_counter() - tic
 
-        report.record_times(times)
         return LongWindowResult(
             schedule=schedule,
             lp=lp,

@@ -170,6 +170,10 @@ def _outcome_payload(outcome: ServeOutcome, include_schedule: bool) -> dict[str,
         "approximation_ratio": result.approximation_ratio,
         "degraded": result.degraded,
     }
+    # A substituted solve_fn may return results without timings.
+    wall_times = getattr(result, "wall_times", None)
+    if wall_times is not None:
+        payload["wall_times"] = dict(wall_times)
     if result.resilience is not None:
         payload["resilience"] = result.resilience.to_dict()
     certificate = getattr(result, "certificate", None)

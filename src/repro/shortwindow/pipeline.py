@@ -21,11 +21,8 @@ import dataclasses
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
-from ..core.atomicio import checksum
-from ..core.checkpoint import CheckpointedRun, ShardJournal
 from ..core.errors import InvalidInstanceError
 from ..core.job import Instance, Job
 from ..core.parallel import effective_workers, parallel_map, resolve_mode
@@ -45,7 +42,7 @@ from ..core.validate import check_ise
 from ..mm.base import MMAlgorithm, MMSchedule, check_mm
 from ..mm.preemptive_bound import preemptive_machine_lower_bound
 from ..mm.registry import get_mm_algorithm, resolve_mm_chain
-from .intervals import IntervalBucket, ShortJobPartition, partition_short_jobs
+from .intervals import partition_short_jobs
 from .transform import IntervalTransformResult, interval_mm_to_ise
 
 __all__ = ["ShortWindowConfig", "IntervalReport", "ShortWindowResult", "ShortWindowSolver"]
@@ -80,16 +77,14 @@ class _BucketTask:
     exactly like the serial path.
 
     The optional ``gate`` (a circuit-breaker board) is in-process-only
-    state: it is set only for serial/thread execution and excluded from
-    ``repr`` so checkpoint fingerprints — ``checksum(repr(tasks))`` — stay
-    stable whether or not a gate is attached.
+    state: it is set only for serial/thread execution.
     """
 
     jobs: tuple[Job, ...]
     speed: float
     chain: tuple[tuple[str, "str | MMAlgorithm"], ...]
     retry: RetryPolicy
-    gate: FallbackGate | None = field(default=None, repr=False, compare=False)
+    gate: FallbackGate | None = None
 
 
 def _solve_bucket_mm(task: _BucketTask) -> tuple[MMSchedule, ResilienceReport, float]:
@@ -128,54 +123,6 @@ def _solve_bucket_mm(task: _BucketTask) -> tuple[MMSchedule, ResilienceReport, f
     return schedule, report, time.perf_counter() - tic
 
 
-def _encode_bucket_outcome(
-    outcome: tuple[MMSchedule, ResilienceReport, float],
-) -> dict[str, Any]:
-    """JSON-able journal payload for one bucket's MM solve."""
-    schedule, report, elapsed = outcome
-    return {
-        "schedule": {
-            "placements": [
-                {"job": p.job_id, "start": p.start, "machine": p.machine}
-                for p in schedule.placements
-            ],
-            "num_machines": schedule.num_machines,
-            "speed": schedule.speed,
-        },
-        "report": report.to_dict(),
-        "elapsed": elapsed,
-    }
-
-
-def _decode_bucket_outcome(
-    payload: dict[str, Any],
-) -> tuple[MMSchedule, ResilienceReport, float]:
-    """Inverse of :func:`_encode_bucket_outcome` — lossless round trip."""
-    raw = payload["schedule"]
-    schedule = MMSchedule(
-        placements=tuple(
-            ScheduledJob(
-                start=float(p["start"]),
-                machine=int(p["machine"]),
-                job_id=int(p["job"]),
-            )
-            for p in raw["placements"]
-        ),
-        num_machines=int(raw["num_machines"]),
-        speed=float(raw["speed"]),
-    )
-    return (
-        schedule,
-        ResilienceReport.from_dict(payload["report"]),
-        float(payload["elapsed"]),
-    )
-
-
-def _bucket_key(bucket: IntervalBucket) -> str:
-    """Stable shard identity of one interval bucket across runs."""
-    return f"pass{bucket.pass_index}/[{bucket.start:g},{bucket.end:g})"
-
-
 @dataclass(frozen=True)
 class ShortWindowConfig:
     """Tuning knobs for the short-window pipeline.
@@ -197,17 +144,6 @@ class ShortWindowConfig:
             parallel path is output-identical to the serial one.
         parallel_mode: ``"auto"`` (process pool), ``"thread"``,
             ``"process"``, or ``"serial"`` — see :mod:`repro.core.parallel`.
-        checkpoint_journal: journal every bucket's MM result to this path
-            as it completes (see :mod:`repro.core.checkpoint`); a crashed
-            solve re-run with ``resume_checkpoint=True`` restores the
-            journaled buckets and re-solves only the remainder, with an
-            output byte-identical to an uninterrupted solve.
-        resume_checkpoint: replay ``checkpoint_journal`` if it exists
-            (required — an existing journal without it is an error, so a
-            crashed run's progress is never silently clobbered).
-        max_shard_retries: extra attempts for a bucket whose worker process
-            died before it is quarantined (see
-            :class:`~repro.core.checkpoint.CheckpointedRun`).
     """
 
     mm_algorithm: str | MMAlgorithm = "best_greedy"
@@ -219,9 +155,6 @@ class ShortWindowConfig:
     resilience: ResiliencePolicy | None = None
     max_workers: int | None = None
     parallel_mode: str = "auto"
-    checkpoint_journal: str | Path | None = None
-    resume_checkpoint: bool = False
-    max_shard_retries: int = 2
 
 
 @dataclass(frozen=True)
@@ -355,51 +288,12 @@ class ShortWindowSolver:
             if budget is None and policy.budget is not None:
                 budget = stack.enter_context(budget_scope(policy.fresh_budget()))
             tic = time.perf_counter()
-            if cfg.checkpoint_journal is not None:
-                keys = [_bucket_key(bucket) for bucket in partition.buckets]
-                run = CheckpointedRun(
-                    journal=ShardJournal(cfg.checkpoint_journal),
-                    fingerprint=checksum(repr((tasks, cfg.gamma, cfg.speed))),
-                    resume=cfg.resume_checkpoint,
-                    max_shard_retries=cfg.max_shard_retries,
-                )
-                shards = run.map(
-                    _solve_bucket_mm,
-                    tasks,
-                    keys,
-                    encode=_encode_bucket_outcome,
-                    decode=_decode_bucket_outcome,
-                    max_workers=cfg.max_workers,
-                    mode=cfg.parallel_mode,
-                )
-                # Every completed bucket is already durably journaled, so a
-                # failed or budget-expired bucket may abort the solve: the
-                # next resume_checkpoint run restores the survivors and
-                # re-solves only the remainder.  (Unlike a sweep case, a
-                # bucket cannot be skipped — the merged schedule needs all
-                # of them.)
-                for shard in shards:
-                    if not shard.ok and shard.error is not None:
-                        raise shard.error
-                outcomes = [shard.value for shard in shards]
-                restored = sum(1 for s in shards if s.status == "restored")
-                if restored:
-                    report.record_note(
-                        f"{restored} interval bucket(s) restored from "
-                        f"checkpoint journal {run.journal.path}"
-                    )
-                if run.parallel_fallback is not None:
-                    report.record_note(
-                        "parallel pool degraded to serial: "
-                        + run.parallel_fallback
-                    )
-            else:
-                outcomes = parallel_map(
-                    _solve_bucket_mm,
-                    tasks,
-                    max_workers=cfg.max_workers,
-                    mode=cfg.parallel_mode,
-                )
+            outcomes = parallel_map(
+                _solve_bucket_mm,
+                tasks,
+                max_workers=cfg.max_workers,
+                mode=cfg.parallel_mode,
+            )
             mm_wall = time.perf_counter() - tic
             mm_schedules: list[MMSchedule] = []
             mm_cpu = 0.0
@@ -479,7 +373,6 @@ class ShortWindowSolver:
             )
             times["validate"] = time.perf_counter() - tic
 
-        report.record_times(times)
         return ShortWindowResult(
             schedule=merged,
             intervals=tuple(reports),

@@ -88,49 +88,6 @@ CASES = [
         ),
     ),
     RuleCase(
-        code="ISE004",
-        hit=(
-            "def collect(item: int, acc: list[int] = []) -> list[int]:\n"
-            "    acc.append(item)\n"
-            "    return acc\n"
-        ),
-        suppressed=(
-            "def collect(item: int, acc: list[int] = []) -> list[int]:  # repro-lint: disable=ISE004\n"
-            "    acc.append(item)\n"
-            "    return acc\n"
-        ),
-        clean=(
-            "def collect(item: int, acc: list[int] | None = None) -> list[int]:\n"
-            "    out = [] if acc is None else acc\n"
-            "    out.append(item)\n"
-            "    return out\n"
-        ),
-    ),
-    RuleCase(
-        code="ISE005",
-        hit=(
-            "def safe(fn) -> None:\n"
-            "    try:\n"
-            "        fn()\n"
-            "    except:\n"
-            "        return None\n"
-        ),
-        suppressed=(
-            "def safe(fn) -> None:\n"
-            "    try:\n"
-            "        fn()\n"
-            "    except:  # repro-lint: disable=ISE005\n"
-            "        return None\n"
-        ),
-        clean=(
-            "def safe(fn) -> None:\n"
-            "    try:\n"
-            "        fn()\n"
-            "    except ValueError:\n"
-            "        return None\n"
-        ),
-    ),
-    RuleCase(
         code="ISE006",
         hit=(
             "from repro.core.errors import LimitExceededError\n"

@@ -76,8 +76,17 @@ class TestPipelineSchemes:
         assert best <= results["greedy"].unpruned_calibrations
         assert best <= results["ceil"].unpruned_calibrations
 
-    def test_unknown_scheme_rejected(self):
+    def test_unknown_scheme_rejected(self, monkeypatch):
         gen = long_window_instance(6, 1, 10.0, 0)
         solver = LongWindowSolver(LongWindowConfig(rounding_scheme="magic"))
         with pytest.raises(ValueError):
+            solver.solve(gen.instance)
+
+        # The scheme is checked before any LP work: with the LP unreachable,
+        # the ValueError must still be what surfaces.
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the LP ran before the scheme was checked")
+
+        monkeypatch.setattr("repro.longwindow.pipeline.solve_tise_lp", no_lp)
+        with pytest.raises(ValueError, match="unknown rounding scheme"):
             solver.solve(gen.instance)

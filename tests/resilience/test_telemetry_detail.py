@@ -4,8 +4,8 @@
 iterations, refactorizations, ...) from a successful result and attaches
 them to the ``ok`` attempt record, where the serve layer and benches read
 them back.  Telemetry is observability, never control flow: a hook that
-raises must be swallowed, and the counters must survive the report's
-dict round-trip losslessly.
+raises must be swallowed, and the counters must reach the report's
+``to_dict`` form.
 """
 
 from __future__ import annotations
@@ -19,33 +19,25 @@ from repro.core.resilience import (
 )
 
 
-class TestDetailRoundTrip:
-    def test_to_dict_from_dict_is_lossless(self):
+class TestDetailSerialization:
+    def test_to_dict_carries_the_counters(self):
         report = ResilienceReport()
+        detail = {"iterations": 42.0, "refactorizations": 1.0}
         report.record(
             StageAttempt(
-                "lp",
-                "simplex",
-                "ok",
-                attempt=1,
-                elapsed=0.25,
-                detail={"iterations": 42.0, "refactorizations": 1.0},
+                "lp", "simplex", "ok", attempt=1, elapsed=0.25, detail=detail
             )
         )
-        restored = ResilienceReport.from_dict(report.to_dict())
-        assert restored.attempts[0].detail == {
-            "iterations": 42.0,
-            "refactorizations": 1.0,
-        }
-        assert restored.to_dict() == report.to_dict()
+        payload = report.to_dict()
+        assert payload["attempts"][0]["detail"] == detail
+        # A copy: mutating the payload never reaches the report.
+        payload["attempts"][0]["detail"]["iterations"] = 0.0
+        assert report.attempts[0].detail == detail
 
-    def test_missing_detail_parses_as_empty(self):
-        payload = ResilienceReport().to_dict()
-        payload["attempts"] = [
-            {"stage": "lp", "backend": "highs", "outcome": "ok", "attempt": 1}
-        ]
-        restored = ResilienceReport.from_dict(payload)
-        assert restored.attempts[0].detail == {}
+    def test_attempt_without_detail_serializes_empty(self):
+        report = ResilienceReport()
+        report.record(StageAttempt("lp", "highs", "ok"))
+        assert report.to_dict()["attempts"][0]["detail"] == {}
 
 
 class TestTelemetryHook:

@@ -81,6 +81,17 @@ def test_solve_round_trip(server, instance) -> None:
     assert "schedule" not in payload
 
 
+def test_solve_body_carries_wall_times_at_top_level(server, instance) -> None:
+    status, payload, _ = _request(
+        server, "/solve", {"instance": instance_to_dict(instance)}
+    )
+    assert status == 200
+    times = payload["wall_times"]
+    assert "validate" in times
+    assert any(key.startswith(("long.", "short.")) for key in times)
+    assert "wall_times" not in payload["resilience"]
+
+
 def test_solve_returns_validatable_schedule_when_asked(server, instance) -> None:
     status, payload, _ = _request(
         server,
