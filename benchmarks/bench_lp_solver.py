@@ -2,9 +2,9 @@
 
 Every default path solves the long-window LP with HiGHS; the revised
 simplex is the next backend in the default LP chain and the differential
-oracle the tests check HiGHS against.  Per size the same compressed TISE
-LP is solved by both, cold, and the objectives must agree within
-tolerance.  Walls and iteration counts land in the ``lp_solver`` section
+oracle the tests check HiGHS against.  Per size the same literal TISE LP
+over the whole Lemma 3 pool (the LP a backend without duals solves) is
+solved by both, cold, and the objectives must agree within tolerance.  Walls and iteration counts land in the ``lp_solver`` section
 of ``BENCH_perf.json``: they record what a HiGHS failure costs when the
 simplex has to take over.  No ratio is gated — the section is a
 measurement, not a claim.
@@ -54,9 +54,7 @@ def bench_lp_solver(report, perf_json):
         gen = long_window_instance(n, 2, 10.0, seed=n)
         jobs = gen.instance.jobs
         T = gen.instance.calibration_length
-        model = build_tise_lp(
-            jobs, T, MACHINE_BUDGET, formulation="compressed", names=False
-        )
+        model = build_tise_lp(jobs, T, MACHINE_BUDGET, names=False)
         lp = model.lp
 
         highs_ms, highs_sol = _best_of(lambda: solve_highs(lp))

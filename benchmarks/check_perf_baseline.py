@@ -5,10 +5,11 @@ Usage:  python benchmarks/check_perf_baseline.py
 Reads ``BENCH_perf.json`` (produced by the perf benches) and compares it
 against ``benchmarks/results/perf_baseline.json``:
 
-* ``lp_compression`` — the compressed formulation's structural counters
-  per instance size.  Model structure is fully deterministic, so *any*
-  growth in constraint nonzeros over the baseline is a formulation
-  regression and fails the check (exit 1).
+* ``lp_point_generation`` — the structural counters of the final
+  restricted LP that point generation solves, per instance size.  Model
+  structure is fully deterministic, so *any* growth in its rows or
+  constraint nonzeros over the baseline is a regression and fails the
+  check (exit 1).
 * ``short_parallel`` / ``sweep_parallel`` — measured pool speedups must
   stay at or above ``parallel.min_speedup``.  Sections flagged
   ``under_provisioned`` (host has fewer cores than the pool has workers)
@@ -30,32 +31,33 @@ BASELINE_PATH = Path(__file__).resolve().parent / "results" / "perf_baseline.jso
 ARTIFACT_PATH = ROOT / "BENCH_perf.json"
 
 # Structural counters gated against the baseline (timings are not gated).
-GATED = ("nnz", "machine_nnz")
+GATED = ("rows", "nnz")
+SECTION = "lp_point_generation"
 
 
-def check_lp_compression(sections, baseline, failures) -> int:
+def check_lp_point_generation(sections, baseline, failures) -> int:
     """Deterministic model-structure counters; returns sizes checked."""
-    section = sections.get("lp_compression")
+    section = sections.get(SECTION)
     if section is None:
-        print("error: BENCH_perf.json has no lp_compression section — "
+        print(f"error: BENCH_perf.json has no {SECTION} section — "
               "run benchmarks/bench_perf_scaling.py first")
         return -1
-    recorded_sizes = baseline["compressed"]
+    recorded_sizes = baseline["restricted"]
     checked = 0
     for row in section["sizes"]:
         n = str(row["n"])
         if n not in recorded_sizes:
-            print(f"lp_compression n={n}: not in baseline, skipped")
+            print(f"{SECTION} n={n}: not in baseline, skipped")
             continue
         checked += 1
         for key in GATED:
-            measured = row["compressed"][key]
+            measured = row["restricted"][key]
             recorded = recorded_sizes[n][key]
             status = "ok" if measured <= recorded else "REGRESSION"
-            print(f"lp_compression n={n} {key}: measured {measured} "
+            print(f"{SECTION} n={n} {key}: measured {measured} "
                   f"vs baseline {recorded} [{status}]")
             if measured > recorded:
-                failures.append(("lp_compression", n, key, measured, recorded))
+                failures.append((SECTION, n, key, measured, recorded))
     return checked
 
 
@@ -118,7 +120,7 @@ def main() -> int:
     sections = artifact.get("sections", {})
 
     failures: list[tuple] = []
-    checked = check_lp_compression(sections, baseline, failures)
+    checked = check_lp_point_generation(sections, baseline, failures)
     if checked < 0:
         return 2
     check_parallel(sections, baseline, failures)
@@ -131,7 +133,7 @@ def main() -> int:
         print(f"\nFAIL: {len(failures)} gated value(s) regressed past the baseline")
         return 1
     print(f"\nOK: all gated values within baseline "
-          f"({checked} lp_compression size(s) checked)")
+          f"({checked} {SECTION} size(s) checked)")
     return 0
 
 

@@ -37,7 +37,7 @@ ORDER = [
     ("VAR1", "var_overlapping"),
     ("BASE2", "base_greedy_vs_lp"),
     ("STRESS", "stress_families"),
-    ("PERF", "perf_lp_compression"),
+    ("PERF", "perf_lp_point_generation"),
     ("PERF", "perf_scaling_long"),
     ("PERF", "perf_scaling_short"),
     ("PERF", "perf_parallel_short"),

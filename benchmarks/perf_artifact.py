@@ -17,14 +17,18 @@ Format (schema 1)::
       }
     }
 
-Section payloads are documented in docs/performance.md.  Everything in the
-artifact that is structural (LP rows/cols/nonzeros, calibration counts,
-schedule equality) is deterministic; wall-time fields are measurements and
-vary run to run.
+Section payloads are documented in docs/performance.md.  Every write
+stamps its section with a ``host`` block — the end-to-end benchmark's
+:func:`host_fingerprint` (``benchmarks/e2e/common.py``): platform, CPU,
+cores, Python/numpy/SciPy, BLAS and thread variables — so two sections'
+timings can be compared or refused.  Everything in the artifact that is
+structural (LP rows/cols/nonzeros, calibration counts, schedule equality)
+is deterministic; wall-time fields are measurements and vary run to run.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 from typing import Any
@@ -40,16 +44,31 @@ __all__ = [
     "BENCH_PERF_PATH",
     "PERF_DIR",
     "SCHEMA_VERSION",
+    "host_fingerprint",
     "merge_sections",
     "write_section",
 ]
 
 
+def host_fingerprint() -> dict[str, Any]:
+    """The host block of ``benchmarks/e2e/common.py``, loaded by path
+    (``benchmarks/e2e`` is a script directory, not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_common", Path(__file__).resolve().parent / "e2e" / "common.py"
+    )
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.host_fingerprint()
+
+
 def write_section(section: str, payload: dict[str, Any]) -> Path:
-    """Persist one section and refresh the merged artifact."""
+    """Persist one section, stamped with its host, and refresh the merged
+    artifact."""
     PERF_DIR.mkdir(parents=True, exist_ok=True)
     path = PERF_DIR / f"{section}.json"
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    stamped = {**payload, "host": host_fingerprint()}
+    atomic_write_text(path, json.dumps(stamped, indent=2, sort_keys=True) + "\n")
     merge_sections()
     return path
 

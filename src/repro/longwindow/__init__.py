@@ -2,7 +2,7 @@
 
 * :mod:`repro.longwindow.tise` — TISE restriction, Lemma 2 transformation.
 * :mod:`repro.longwindow.calibration_points` — Lemma 3 candidate points.
-* :mod:`repro.longwindow.lp_relaxation` — the Section 3 LP.
+* :mod:`repro.longwindow.lp_relaxation` — the Section 3 LP, solved by point generation.
 * :mod:`repro.longwindow.rounding` — Algorithm 1 greedy rounding.
 * :mod:`repro.longwindow.augmented_rounding` — Algorithm 3 proof device.
 * :mod:`repro.longwindow.edf` — Algorithm 2 and the Lemma 8/9 constructions.
@@ -17,7 +17,6 @@ from .augmented_rounding import (
 )
 from .calibration_points import (
     potential_calibration_points,
-    prune_dominated_points,
     raw_calibration_points,
 )
 from .canonical import CanonicalizationResult, canonicalize
@@ -46,7 +45,6 @@ __all__ = [
     "ise_to_tise",
     "TiseTransformTrace",
     "potential_calibration_points",
-    "prune_dominated_points",
     "raw_calibration_points",
     "CanonicalizationResult",
     "canonicalize",

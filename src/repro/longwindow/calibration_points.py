@@ -18,16 +18,13 @@ the ``O(n * P)`` all-pairs scan — and candidate generation is capped at the
 horizon ``max_j d_j - T`` past which no candidate can survive the prune.
 Both changes are output-identical to the naive construction.
 
-:func:`prune_dominated_points` implements a second, stronger reduction used
-by the compressed LP formulation: a point whose calibration mass can be slid
-forward to its successor without changing any constraint's reach is dropped
-entirely (see the function docstring for the exact conditions and why the LP
-optimum is preserved).
+The pruned set is the *candidate pool* of
+:func:`~repro.longwindow.lp_relaxation.solve_tise_lp`, which prices its
+points rather than building the LP over all of them.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Sequence
 
 from ..core.job import Job
@@ -36,7 +33,6 @@ from .tise import tise_feasible_range
 
 __all__ = [
     "potential_calibration_points",
-    "prune_dominated_points",
     "raw_calibration_points",
 ]
 
@@ -111,70 +107,3 @@ def potential_calibration_points(
         if depth > 0:
             kept.append(t)
     return kept
-
-
-def prune_dominated_points(
-    points: Sequence[float],
-    jobs: Sequence[Job],
-    calibration_length: float,
-    eps: float = EPS,
-) -> list[float]:
-    """Drop points whose mass can always be slid forward to the next point.
-
-    A point ``t_i`` (other than the last) is *forward-dominated* by its
-    successor ``t_{i+1}`` when moving any calibration mass from ``t_i`` to
-    ``t_{i+1}`` preserves feasibility and cost of every LP solution:
-
-    (a) no job's feasibility upper boundary ``d_j - T`` lies in
-        ``[t_i, t_{i+1})`` — every job that can use a calibration at ``t_i``
-        can also use one at ``t_{i+1}`` (release constraints only ever
-        *gain* jobs when moving right); and
-    (b) no point lies in ``[t_i + T, t_{i+1} + T)`` — no sliding machine-
-        budget window of constraint (1) contains ``t_{i+1}`` without also
-        containing ``t_i``, so the move never increases any window's mass.
-
-    Under (a)+(b) the shifted solution is feasible with the same objective,
-    and conversely every solution over the kept points is already a solution
-    over the full set, so the LP optimum is unchanged.  Domination chains
-    compose (the conditions are checked against the *current* kept set, a
-    superset of the final one, which is conservative), so the prune iterates
-    to a fixpoint.
-
-    Both checks are evaluated at the same ``eps``-shifted boundaries the
-    rest of the pipeline uses (``tise_feasible_for`` accepts
-    ``t <= d_j - T + eps``; a constraint-(1) window contains ``t_k`` iff
-    ``t_k > t_i - T + eps``), i.e. at ``t - eps`` / ``succ - eps`` and
-    ``t + T - eps`` / ``succ + T - eps``.  This matters beyond consistency:
-    boundary values routinely coincide *exactly* with interval ends (the
-    candidates live on ``r_j + kT`` grids, so ``t + T`` is typically itself
-    a point), and a comparison at the natural boundary would decide such
-    ties by float ulps — making the kept set unstable under, e.g., uniform
-    time translation of the instance.  The shifted boundaries sit a full
-    ``eps`` away from every natural coincidence, so ties cannot occur.
-    """
-    T = calibration_length
-    upper_bounds = sorted(job.deadline - T for job in jobs)
-    current = list(points)
-    while True:
-        kept: list[float] = []
-        last = len(current) - 1
-        for i, t in enumerate(current):
-            if i == last:
-                kept.append(t)
-                continue
-            succ = current[i + 1]
-            # (a) a job boundary d_j - T in [t - eps, succ - eps)?
-            if bisect.bisect_left(upper_bounds, t - eps) != bisect.bisect_left(
-                upper_bounds, succ - eps
-            ):
-                kept.append(t)
-                continue
-            # (b) a point in [t + T - eps, succ + T - eps)?
-            if bisect.bisect_left(current, t + T - eps) != bisect.bisect_left(
-                current, succ + T - eps
-            ):
-                kept.append(t)
-                continue
-        if len(kept) == len(current):
-            return kept
-        current = kept

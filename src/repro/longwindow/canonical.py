@@ -11,8 +11,9 @@ the previous calibration.
 schedule.  It is used to machine-check Lemma 3 itself (tests verify that
 canonicalization preserves TISE feasibility and the calibration count, and
 that every resulting start lies in the potential-point set
-``{r_j + k*T}``), and it doubles as a cosmetic normalizer: canonical
-schedules are easier to compare and render.
+``{r_j + k*T}``), and the long-window pipeline applies it to its output:
+the LP settles on the latest optimal points, and the canonical schedule
+starts the same calibrations as early as Lemma 3 allows.
 """
 
 from __future__ import annotations
@@ -100,9 +101,11 @@ def canonicalize(instance: Instance, schedule: Schedule) -> CanonicalizationResu
                 total_shift += shift
             new_cals.append(Calibration(start=new_start, machine=machine))
             for placement in jobs_in_cal.get((cal.start, cal.machine), []):
+                # Offset from the new start, so a job that began with its
+                # calibration still does, to the last bit.
                 new_placements.append(
                     ScheduledJob(
-                        start=placement.start - shift,
+                        start=new_start + (placement.start - cal.start),
                         machine=machine,
                         job_id=placement.job_id,
                     )

@@ -1,4 +1,4 @@
-"""The TISE linear-program relaxation (Section 3).
+"""The TISE linear-program relaxation (Section 3), solved by point generation.
 
 Variables (per potential calibration point ``t`` from Lemma 3):
 
@@ -22,46 +22,75 @@ simplifications can only improve the value of the optimal solution") — and
 its infeasibility certifies (via Lemma 2) that the long-window instance is
 not ISE-feasible on ``m = m'/3`` machines.
 
-Two formulations of constraint (1) are available:
+:func:`build_tise_lp` transcribes the LP literally over a given point set.
+:func:`solve_tise_lp` never builds it over the whole Lemma 3 pool ``P``
+(``O(n^2)`` points): an optimum puts mass on few points, so it solves a
+*restricted* LP over a growing ``S ⊆ P`` and adds the points that price out.
 
-* ``legacy`` — the literal transcription: one ``<=`` row per point whose
-  window copy carries every ``C_{t'}`` with ``t' in (t - T, t]``.  With the
-  ``O(n^2)`` Lemma 3 points this is ``O(n^2)``–``O(n^3)`` nonzeros and
-  dominates model-build and solve time.
-* ``compressed`` (default) — a telescoping reformulation.  Per point ``t_i``
-  a *window-mass* variable ``W_i in [0, m']`` (the machine budget becomes a
-  variable bound, costing zero rows) is linked to its predecessor by
+* **Seed.** ``S0`` holds each job's latest TISE-feasible pool point.
+* **Restricted LP.** :func:`build_tise_lp` over sorted ``S``, with one
+  window row (1) per ``s in S``.  The window ending at a point ``t`` outside
+  ``S`` is dominated by the window ending at the last ``S`` point inside it,
+  so the restricted LP is the full LP with every column of ``P \\ S`` fixed
+  at zero.  Each row (4) also carries an artificial ``a_j >= 0`` at cost
+  ``M = 2``, which keeps the restricted LP feasible while ``S`` is too sparse
+  for (1).  ``M`` exceeds the one calibration that covers any single job
+  (``p_j <= T``), so an uncongested ``S`` never prefers the artificial.
+* **Pricing.** Let ``y_j`` be the duals of (4) and ``u_s >= 0`` the negated
+  duals of the window rows.  The columns of a point ``t`` outside ``S``
+  (``C_t`` and every ``X_jt``) can enter with negative reduced cost iff the
+  fractional knapsack
 
-      W_i = W_{i-1} + C_{t_i} - sum_{k : t_k leaves the window} C_{t_k}
+      K(t) = max sum_j y_j x_j   s.t.  sum_j p_j x_j <= T,  0 <= x_j <= 1
 
-  where the dropped indices are ``lo_{i-1} <= k < lo_i`` for
-  ``lo_i = min{k : t_k > t_i - T}``.  Every ``C`` enters exactly one linking
-  row when it appears and leaves exactly one when it expires, so the
-  machine-budget block carries ~4 nonzeros amortized per point instead of a
-  fresh ``O(n)`` window copy.  The feasible sets coincide: eliminating the
-  ``W_i`` by substitution recovers exactly the legacy rows.  The compressed
-  build additionally prunes forward-dominated points (see
-  :func:`~repro.longwindow.calibration_points.prune_dominated_points`),
-  which preserves the optimum value.
+  over the jobs feasible at ``t`` exceeds ``c + sum_{s in S, t <= s < t+T} u_s``
+  by more than a fixed tolerance, where ``c`` is the cost of ``C_t``.  ``K(t)``
+  is the LP dual of ``min_{w >= 0} T w + sum_j (y_j - p_j w)^+``: the
+  cheapest duals ``w_t`` of (3) and ``v_jt`` of (2) that make ``C_t`` and
+  every ``X_jt`` dual-feasible.  All points that price out are added at once.
+* **Why convergence is the full optimum.** When no point prices out, pad the
+  restricted duals with ``u_t = 0`` for the window rows of points outside
+  ``S`` and with the knapsack duals ``(v, w)`` for their rows (2)/(3).  That
+  vector is feasible for the dual of the full LP and has the restricted
+  optimum as its objective, so by weak duality the restricted optimum is the
+  full one.  ``S`` only grows inside the finite pool, so the loop ends.
+* **Exact infeasibility.** Phase 2 (cost 1 per calibration, ``M`` per unit of
+  artificial) converging with zero artificial mass is the answer.  Otherwise
+  phase 1 (minimise ``sum_j a_j``, calibrations free) runs under the same
+  pricing from the current ``S``.  A positive converged phase-1 optimum
+  certifies, by the same padding argument, that the full LP is infeasible;
+  a zero one resumes phase 2 with the artificials removed.
+* **Backends without duals** (the in-repo simplex) cannot price, so they get
+  ``S0 = P`` and solve the full LP in their single round.
 """
 
 from __future__ import annotations
 
 import bisect
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from ..core.errors import InfeasibleInstanceError, SolverError
 from ..core.job import Job
-from ..core.tolerance import EPS
-from ..lp import LinearProgram, LPStatus, Sense, get_backend
-from .calibration_points import potential_calibration_points, prune_dominated_points
+from ..core.tolerance import EPS, LOOSE_EPS
+from ..lp import DUAL_BACKENDS, LinearProgram, LPSolution, LPStatus, Sense, get_backend
+from .calibration_points import potential_calibration_points
 from .tise import tise_feasible_range
 
 __all__ = ["TiseLP", "TiseLPSolution", "build_tise_lp", "solve_tise_lp"]
 
-FORMULATIONS = ("compressed", "legacy")
+# (cost of C_t, cost of a_j or None for no artificials) per phase of the loop.
+_PHASES: dict[str, tuple[float, float | None]] = {
+    "phase2": (1.0, 2.0),
+    "phase1": (0.0, 1.0),
+    "final": (1.0, None),
+}
+# A point prices out when its knapsack beats its column cost by more than this.
+_PRICE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,10 +98,9 @@ class TiseLP:
     """A built (unsolved) TISE LP with its variable index maps.
 
     ``stats`` records model-size counters (``rows``, ``cols``, ``nnz``,
-    ``machine_nnz`` — nonzeros of the constraint-(1) block including any
-    auxiliary window variables — plus ``points`` kept and ``points_input``
-    before the domination prune) so benches and ``wall_times`` hooks can
-    report the compression factor without re-deriving it.
+    ``machine_nnz`` — nonzeros of the constraint-(1) block — and ``points``)
+    so benches and ``wall_times`` hooks can report model sizes without
+    re-deriving them.
     """
 
     lp: LinearProgram
@@ -81,7 +109,6 @@ class TiseLP:
     calibration_length: float
     c_vars: Mapping[float, int]
     x_vars: Mapping[tuple[int, float], int]
-    formulation: str = "legacy"
     stats: Mapping[str, int] = field(default_factory=dict)
 
     @property
@@ -97,12 +124,15 @@ class TiseLPSolution:
     (zeros omitted); ``assignments[(job_id, t)]`` is the fraction of the job
     assigned there (zeros omitted).  ``objective`` is the LP optimum, a lower
     bound on the optimal number of TISE calibrations on ``machine_budget``
-    machines.  ``stats`` carries the model-size counters of the
-    :class:`TiseLP` this was solved from (empty for trivial instances).
+    machines.  ``stats`` carries the model-size counters of the final
+    restricted :class:`TiseLP` plus the point-generation counters
+    ``rounds``, ``phase1_rounds``, ``points_pool`` (candidate pool size) and
+    ``points`` (final ``|S|``); it is empty for trivial instances.
 
     ``solver`` is the backend's numeric telemetry (``iterations``,
-    ``refactorizations``, ``solve_ms``) — ``compare=False``: two solves of
-    the same instance are equal however they were reached.
+    ``refactorizations`` and ``solve_ms`` summed over rounds, plus
+    ``pricing_ms``) — ``compare=False``: two solves of the same instance are
+    equal however they were reached.
     """
 
     objective: float
@@ -130,93 +160,34 @@ class TiseLPSolution:
         return self._coverage_by_job.get(job_id, 0.0)
 
 
-def _add_machine_budget_legacy(
-    lp: LinearProgram,
-    points: tuple[float, ...],
-    c_vars: Mapping[float, int],
-    machine_budget: int,
-    T: float,
-    names: bool,
-) -> None:
-    """Constraint (1), literal form: per point, one row copying its window."""
-    for idx, t in enumerate(points):
-        lo = bisect.bisect_right(points, t - T + EPS)
-        terms = [(c_vars[points[k]], 1.0) for k in range(lo, idx + 1)]
-        lp.add_constraint(
-            terms, Sense.LE, float(machine_budget),
-            name=f"mach[{t}]" if names else "",
-        )
+def _no_point(job: Job, T: float) -> InfeasibleInstanceError:
+    # The job's window cannot contain any calibration: infeasible up front.
+    return InfeasibleInstanceError(
+        f"job {job.job_id} admits no TISE-feasible calibration point "
+        f"(window [{job.release}, {job.deadline}), T={T})"
+    )
 
 
-def _add_machine_budget_compressed(
-    lp: LinearProgram,
-    points: tuple[float, ...],
-    c_vars: Mapping[float, int],
-    machine_budget: int,
-    T: float,
-    names: bool,
-) -> None:
-    """Constraint (1), telescoped: bounded window-mass variables ``W_i``.
-
-    ``W_i`` carries ``sum_{t' in (t_i - T, t_i]} C_{t'}``; its upper bound
-    ``m'`` *is* the machine budget, and consecutive masses differ by the
-    entering point minus the points that slid out of the window, giving an
-    equality row with O(1) amortized terms.
-    """
-    w_prev = -1
-    lo_prev = 0
-    for i, t in enumerate(points):
-        lo = bisect.bisect_right(points, t - T + EPS)
-        w_i = lp.add_variable(
-            objective=0.0,
-            lower=0.0,
-            upper=float(machine_budget),
-            name=f"W[{t}]" if names else "",
-        )
-        terms = [(w_i, 1.0), (c_vars[t], -1.0)]
-        if w_prev >= 0:
-            terms.append((w_prev, -1.0))
-            terms.extend((c_vars[points[k]], 1.0) for k in range(lo_prev, lo))
-        lp.add_constraint(terms, Sense.EQ, 0.0, name=f"mach[{t}]" if names else "")
-        w_prev = w_i
-        lo_prev = lo
-
-
-def build_tise_lp(
+def _assemble(
     jobs: Sequence[Job],
-    calibration_length: float,
+    T: float,
     machine_budget: int,
-    points: Sequence[float] | None = None,
-    *,
-    formulation: str = "legacy",
-    names: bool = True,
-) -> TiseLP:
-    """Assemble the Section 3 LP for ``jobs`` with ``m' = machine_budget``.
+    points: tuple[float, ...],
+    names: bool,
+    calibration_cost: float = 1.0,
+    artificial_cost: float | None = None,
+) -> tuple[TiseLP, list[int]]:
+    """The Section 3 rows over sorted ``points``; returns the model and the
+    artificial column of each row (4) (empty when ``artificial_cost`` is None).
 
-    ``formulation`` selects the constraint-(1) encoding (see the module
-    docstring).  The default here is ``"legacy"`` — the literal Section 3
-    transcription, whose variables are exactly the ``C_t``/``X_jt`` that
-    structural tools (witness encoders, the MILP bound) index — while
-    :func:`solve_tise_lp`, which only exposes the solution, defaults to
-    ``"compressed"``.  ``names=False`` skips all variable/constraint
-    name-string construction, which the solver backends never need.
+    Row order is part of the contract with the pricing step: the window rows
+    (1) are the first ``len(points)`` inequality rows, and the rows (4) are
+    the only equality rows, in job order.
     """
-    if formulation not in FORMULATIONS:
-        raise ValueError(
-            f"unknown TISE LP formulation {formulation!r}; expected one of "
-            f"{FORMULATIONS}"
-        )
-    T = calibration_length
-    if points is None:
-        points = potential_calibration_points(jobs, T)
-    points_input = len(points)
-    if formulation == "compressed":
-        points = prune_dominated_points(points, jobs, T)
-    points = tuple(points)
     lp = LinearProgram("tise", track_names=names)
 
     c_vars: dict[float, int] = {
-        t: lp.add_variable(objective=1.0, name=f"C[{t}]" if names else "")
+        t: lp.add_variable(objective=calibration_cost, name=f"C[{t}]" if names else "")
         for t in points
     }
     x_vars: dict[tuple[int, float], int] = {}
@@ -231,14 +202,25 @@ def build_tise_lp(
             )
             x_vars[(job.job_id, t)] = idx
             x_by_job[job.job_id].append(idx)
+    artificials = (
+        []
+        if artificial_cost is None
+        else [
+            lp.add_variable(objective=artificial_cost, name=f"A[{job.job_id}]" if names else "")
+            for job in jobs
+        ]
+    )
 
-    # (1): sliding-window machine budget.
-    nnz_before = lp.num_nonzeros
-    if formulation == "legacy":
-        _add_machine_budget_legacy(lp, points, c_vars, machine_budget, T, names)
-    else:
-        _add_machine_budget_compressed(lp, points, c_vars, machine_budget, T, names)
-    machine_nnz = lp.num_nonzeros - nnz_before
+    # (1): sliding-window machine budget, one literal row per point.
+    for idx, t in enumerate(points):
+        lo = bisect.bisect_right(points, t - T + EPS)
+        lp.add_constraint(
+            [(c_vars[points[k]], 1.0) for k in range(lo, idx + 1)],
+            Sense.LE,
+            float(machine_budget),
+            name=f"mach[{t}]" if names else "",
+        )
+    machine_nnz = lp.num_nonzeros
 
     # (2): X_jt <= C_t.
     for (job_id, t), x_idx in x_vars.items():
@@ -260,15 +242,12 @@ def build_tise_lp(
             )
 
     # (4): every job fully assigned.
-    for job in jobs:
+    for k, job in enumerate(jobs):
         terms = [(x_idx, 1.0) for x_idx in x_by_job[job.job_id]]
-        if not terms:
-            # No TISE-feasible point at all: the job's window cannot contain
-            # any calibration, certifying infeasibility up front.
-            raise InfeasibleInstanceError(
-                f"job {job.job_id} admits no TISE-feasible calibration point "
-                f"(window [{job.release}, {job.deadline}), T={T})"
-            )
+        if artificials:
+            terms.append((artificials[k], 1.0))
+        elif not terms:
+            raise _no_point(job, T)
         lp.add_constraint(
             terms, Sense.EQ, 1.0, name=f"assign[{job.job_id}]" if names else ""
         )
@@ -279,18 +258,186 @@ def build_tise_lp(
         "nnz": lp.num_nonzeros,
         "machine_nnz": machine_nnz,
         "points": len(points),
-        "points_input": points_input,
     }
-    return TiseLP(
+    model = TiseLP(
         lp=lp,
         points=points,
         machine_budget=machine_budget,
         calibration_length=T,
         c_vars=c_vars,
         x_vars=x_vars,
-        formulation=formulation,
         stats=stats,
     )
+    return model, artificials
+
+
+def build_tise_lp(
+    jobs: Sequence[Job],
+    calibration_length: float,
+    machine_budget: int,
+    points: Sequence[float] | None = None,
+    *,
+    names: bool = True,
+) -> TiseLP:
+    """Assemble the Section 3 LP for ``jobs`` with ``m' = machine_budget``.
+
+    The literal transcription over ``points`` (default: the whole Lemma 3
+    set), whose variables are exactly the ``C_t``/``X_jt`` that structural
+    tools (witness encoders, the MILP bound) index.  ``names=False`` skips
+    all variable/constraint name-string construction, which the solver
+    backends never need.
+    """
+    T = calibration_length
+    if points is None:
+        points = potential_calibration_points(jobs, T)
+    return _assemble(jobs, T, machine_budget, tuple(points), names)[0]
+
+
+def _knapsack_values(
+    y: np.ndarray,
+    proc: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    capacity: float,
+    size: int,
+) -> np.ndarray:
+    """The fractional knapsack ``K(t)`` at every pool index at once.
+
+    Job ``j`` (value ``y[j]``, weight ``proc[j]``) is available at the pool
+    indices ``[lo[j], hi[j])``.  Jobs enter in decreasing ``y_j / p_j``
+    order, each over its whole index range, and take whatever capacity
+    those points have left — the greedy that solves a fractional knapsack,
+    run at all points together in ``O(size)`` memory.
+    """
+    gain = np.zeros(size)
+    used = np.zeros(size)
+    positive = np.flatnonzero(y > 0.0)
+    for j in positive[np.argsort(-y[positive] / proc[positive], kind="stable")]:
+        a, b, p = lo[j], hi[j], proc[j]
+        take = np.clip((capacity - used[a:b]) / p, 0.0, 1.0)
+        gain[a:b] += y[j] * take
+        used[a:b] += p * take
+    return gain
+
+
+class _Round(NamedTuple):
+    """One solved restricted LP."""
+
+    model: TiseLP
+    solution: LPSolution
+    x: np.ndarray
+    artificial_mass: float
+
+
+class _PointGeneration:
+    """The restricted-LP loop of :func:`solve_tise_lp` over one candidate pool."""
+
+    def __init__(
+        self,
+        jobs: Sequence[Job],
+        T: float,
+        machine_budget: int,
+        pool: tuple[float, ...],
+        backend: str,
+        names: bool,
+        deadline: float | None,
+    ) -> None:
+        self.jobs = jobs
+        self.T = T
+        self.machine_budget = machine_budget
+        self.pool = pool
+        self.backend = backend
+        self.names = names
+        self.deadline = deadline
+        ranges = [tise_feasible_range(job, pool, T) for job in jobs]
+        for job, (lo, hi) in zip(jobs, ranges):
+            if lo >= hi:
+                raise _no_point(job, T)
+        self.lo = np.array([lo for lo, _ in ranges], dtype=np.int64)
+        self.hi = np.array([hi for _, hi in ranges], dtype=np.int64)
+        self.proc = np.array([job.processing for job in jobs], dtype=float)
+        self.pool_arr = np.asarray(pool, dtype=float)
+        self.in_s = np.zeros(len(pool), dtype=bool)
+        self.rounds = 0
+        self.phase1_rounds = 0
+        self.telemetry: dict[str, float] = {"pricing_ms": 0.0}
+
+    def solve(self, phase: str) -> _Round:
+        """Build and solve the restricted LP of ``phase`` over the current ``S``."""
+        calibration_cost, artificial_cost = _PHASES[phase]
+        points = tuple(self.pool[i] for i in np.flatnonzero(self.in_s))
+        model, artificials = _assemble(
+            self.jobs, self.T, self.machine_budget, points, self.names,
+            calibration_cost, artificial_cost,
+        )
+        limit = None
+        if self.deadline is not None:
+            limit = self.deadline - time.perf_counter()
+        # Looked up per round, so a swapped registry entry (fault injection,
+        # tracing) sees every round.
+        solution = get_backend(self.backend)(model.lp, time_limit=limit)
+        self.rounds += 1
+        if phase == "phase1":
+            self.phase1_rounds += 1
+        for key, value in solution.telemetry().items():
+            if key in ("iterations", "refactorizations", "solve_ms"):
+                value += self.telemetry.get(key, 0.0)
+            self.telemetry[key] = value
+        if solution.status is LPStatus.INFEASIBLE:
+            raise InfeasibleInstanceError(
+                f"TISE LP infeasible on m' = {self.machine_budget} machines: "
+                "the long-window instance has no feasible TISE schedule there"
+            )
+        x = solution.x
+        if not solution.ok or x is None:
+            raise SolverError(
+                f"TISE LP solve failed: {solution.status.value} {solution.message}",
+                stage="lp",
+                backend=self.backend,
+            )
+        return _Round(model, solution, x, float(np.sum(x[artificials])))
+
+    def converge(self, phase: str) -> _Round:
+        """Solve and price until no pool point prices out."""
+        while True:
+            result = self.solve(phase)
+            tic = time.perf_counter()
+            added = self.price(result.solution, _PHASES[phase][0])
+            self.telemetry["pricing_ms"] += (time.perf_counter() - tic) * 1e3
+            if not added:
+                return result
+
+    def price(self, solution: LPSolution, calibration_cost: float) -> bool:
+        """Add every pool point outside ``S`` that prices out; True if any did."""
+        if solution.dual_eq is None or solution.dual_ineq is None:
+            raise SolverError(
+                f"LP backend {self.backend!r} returned no duals to price with",
+                stage="lp",
+                backend=self.backend,
+            )
+        T = self.T
+        pool = self.pool_arr
+        s_points = pool[self.in_s]
+        # Window term: row s covers t iff t <= s and s - T + EPS < t, the
+        # same comparisons the window rows are built with.
+        u = np.maximum(-solution.dual_ineq[: len(s_points)], 0.0)
+        prefix = np.concatenate(([0.0], np.cumsum(u)))
+        first = np.searchsorted(s_points, pool, side="left")
+        last = np.maximum(np.searchsorted(s_points - T + EPS, pool, side="left"), first)
+        threshold = calibration_cost + prefix[last] - prefix[first] + _PRICE_TOL
+
+        gain = _knapsack_values(solution.dual_eq, self.proc, self.lo, self.hi, T, len(pool))
+        entering = (gain > threshold) & ~self.in_s
+        self.in_s |= entering
+        return bool(entering.any())
+
+    def stats(self, model: TiseLP) -> dict[str, int]:
+        return {
+            **model.stats,
+            "rounds": self.rounds,
+            "phase1_rounds": self.phase1_rounds,
+            "points_pool": len(self.pool),
+        }
 
 
 def solve_tise_lp(
@@ -302,18 +449,20 @@ def solve_tise_lp(
     zero_tol: float = 1e-9,
     time_limit: float | None = None,
     *,
-    formulation: str = "compressed",
     names: bool = False,
 ) -> TiseLPSolution:
-    """Build and solve the TISE LP; raises on infeasibility.
+    """Solve the TISE LP over the candidate pool ``points``; raises on
+    infeasibility.
 
-    :class:`InfeasibleInstanceError` here means the long-window instance is
-    not feasible on ``machine_budget / 3`` machines (Lemma 2 contrapositive).
-    ``time_limit`` (seconds) is forwarded to the backend, which raises
+    ``points`` defaults to the Lemma 3 set.  The optimum is that of the LP
+    over the whole pool, reached by point generation (see the module
+    docstring).  :class:`InfeasibleInstanceError` means the long-window
+    instance is not feasible on ``machine_budget / 3`` machines (Lemma 2
+    contrapositive).  ``time_limit`` (seconds) bounds all rounds together:
+    each round's backend solve gets what is left and raises
     :class:`~repro.core.errors.StageTimeoutError` on expiry.  ``names``
-    defaults to False here (the model is discarded after the solve, so
-    name strings are pure overhead); :func:`build_tise_lp` keeps them on for
-    interactive/debugging use.
+    defaults to False here (the models are discarded after the solve, so
+    name strings are pure overhead).
     """
     if not jobs:
         return TiseLPSolution(
@@ -323,38 +472,38 @@ def solve_tise_lp(
             machine_budget=machine_budget,
             calibration_length=calibration_length,
         )
-    model = build_tise_lp(
-        jobs, calibration_length, machine_budget, points,
-        formulation=formulation, names=names,
-    )
-    solution = get_backend(backend)(model.lp, time_limit=time_limit)
-    if solution.status is LPStatus.INFEASIBLE:
-        raise InfeasibleInstanceError(
-            f"TISE LP infeasible on m' = {machine_budget} machines: the "
-            "long-window instance has no feasible TISE schedule there"
-        )
-    if not solution.ok or solution.x is None:
-        raise SolverError(
-            f"TISE LP solve failed: {solution.status.value} {solution.message}",
-            stage="lp",
-            backend=backend,
-        )
-    calibrations = {
-        t: float(solution.x[idx])
-        for t, idx in model.c_vars.items()
-        if solution.x[idx] > zero_tol
-    }
+    T = calibration_length
+    pool = tuple(sorted(points if points is not None else potential_calibration_points(jobs, T)))
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    gen = _PointGeneration(jobs, T, machine_budget, pool, backend, names, deadline)
+
+    if backend not in DUAL_BACKENDS:
+        gen.in_s[:] = True
+        result = gen.solve("final")
+    else:
+        gen.in_s[gen.hi - 1] = True
+        result = gen.converge("phase2")
+        if result.artificial_mass > zero_tol:
+            result = gen.converge("phase1")
+            if result.artificial_mass > LOOSE_EPS:
+                raise InfeasibleInstanceError(
+                    f"TISE LP infeasible on m' = {machine_budget} machines: "
+                    "the long-window instance has no feasible TISE schedule "
+                    f"there (phase 1 optimum {result.artificial_mass:.3g} > 0)"
+                )
+            result = gen.converge("final")
+
+    model, x = result.model, result.x
+    calibrations = {t: float(x[idx]) for t, idx in model.c_vars.items() if x[idx] > zero_tol}
     assignments = {
-        key: float(solution.x[idx])
-        for key, idx in model.x_vars.items()
-        if solution.x[idx] > zero_tol
+        key: float(x[idx]) for key, idx in model.x_vars.items() if x[idx] > zero_tol
     }
     return TiseLPSolution(
-        objective=float(solution.objective),
+        objective=float(sum(x[idx] for idx in model.c_vars.values())),
         calibrations=calibrations,
         assignments=assignments,
         machine_budget=machine_budget,
         calibration_length=calibration_length,
-        stats=dict(model.stats),
-        solver=solution.telemetry(),
+        stats=gen.stats(model),
+        solver=dict(gen.telemetry),
     )

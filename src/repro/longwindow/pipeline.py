@@ -9,8 +9,14 @@ Given a feasible long-window ISE instance on ``m`` machines, the pipeline
 3. assigns jobs with the mirrored EDF Algorithm 2 (``6m' = 18m`` machines,
    another ``2 x`` calibrations — Lemmas 8-10),
 
-for Theorem 12's total of at most ``18 m`` machines and ``12 C*``
-calibrations (3 from Lemma 2 x 2 from rounding x 2 from mirroring).
+then slides every calibration back to Lemma 3's normal form (a release time
+or the end of the previous calibration on its machine, see
+:func:`~repro.longwindow.canonical.canonicalize`).  The LP lands on the
+latest optimal points, and the slide changes no count: it only starts work
+as early as the schedule allows, which is what an online session's commit
+horizon locks.  The result keeps Theorem 12's total of at most ``18 m``
+machines and ``12 C*`` calibrations (3 from Lemma 2 x 2 from rounding x 2
+from mirroring).
 
 Optionally, step 4 applies the Lemma 13 machine-to-speed transformation to
 reach Theorem 14: ``m`` machines at speed ``36`` with at most ``12 C*``
@@ -43,6 +49,7 @@ from ..core.schedule import Schedule
 from ..core.tolerance import LOOSE_EPS
 from ..core.validate import check_ise, check_tise
 from .calibration_points import potential_calibration_points
+from .canonical import canonicalize
 from .lp_relaxation import TiseLPSolution, solve_tise_lp
 from .rounding import RoundingResult, round_calibrations, round_calibrations_ceil
 from .edf import assign_jobs_edf
@@ -58,11 +65,11 @@ class LongWindowConfig:
     """Tuning knobs for the long-window pipeline.
 
     Attributes:
-        lp_backend: ``"highs"`` (default) or ``"simplex"``.
-        lp_formulation: constraint-(1) encoding — ``"compressed"`` (default,
-            telescoped window-mass variables + dominated-point pruning; same
-            optimum, far fewer nonzeros) or ``"legacy"`` (the literal
-            per-point window copies).
+        lp_backend: ``"highs"`` (default) or ``"simplex"``.  HiGHS solves
+            the LP by point generation over the Lemma 3 pool (restricted LPs
+            priced with its duals, same optimum as the LP over every point);
+            the simplex returns no duals, so it solves the LP over the whole
+            pool at once.
         lp_names: build the LP with debug variable/constraint names.  Off by
             default — name strings are pure overhead on the hot path.
         rounding_threshold: Algorithm 1 emission threshold (paper: 1/2).
@@ -81,7 +88,6 @@ class LongWindowConfig:
     """
 
     lp_backend: str = "highs"
-    lp_formulation: str = "compressed"
     lp_names: bool = False
     rounding_threshold: float = 0.5
     rounding_scheme: str = "greedy"
@@ -227,7 +233,6 @@ class LongWindowSolver:
                         backend=backend,
                         points=points,
                         time_limit=limit,
-                        formulation=cfg.lp_formulation,
                         names=cfg.lp_names,
                     )
 
@@ -274,6 +279,9 @@ class LongWindowSolver:
             schedule = schedule.prune_empty_calibrations(
                 {j.job_id: j.processing for j in instance.jobs}
             )
+        tic = time.perf_counter()
+        schedule = canonicalize(instance, schedule).schedule
+        times["canonicalize"] = time.perf_counter() - tic
         machines_used = len(
             {c.machine for c in schedule.calibrations}
             | {p.machine for p in schedule.placements}

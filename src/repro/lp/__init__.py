@@ -34,6 +34,7 @@ __all__ = [
     "LPBackend",
     "get_backend",
     "BACKENDS",
+    "DUAL_BACKENDS",
 ]
 
 
@@ -57,6 +58,11 @@ BACKENDS: dict[str, LPBackend] = {
     "highs": HighsBackend(),
     "simplex": SimplexBackend(),
 }
+
+# Backends whose optimal solutions carry ``dual_ineq``/``dual_eq``, which
+# the TISE LP's point generation prices with.  Keyed by name, not by object:
+# fault injection and tracing swap the registry entries for wrappers.
+DUAL_BACKENDS = frozenset({"highs"})
 
 
 def get_backend(name: str) -> LPBackend:

@@ -18,8 +18,8 @@ from repro.instances import long_window_instance, mixed_instance, unit_instance
 # (family, seed) -> (calibrations, best lower bound, n_long)
 GOLDEN_COMBINED = {
     ("mixed", 0): (12, 8.0, 9),
-    ("mixed", 1): (13, 8.0, 4),
-    ("mixed", 2): (12, 8.0, 8),
+    ("mixed", 1): (14, 8.0, 4),
+    ("mixed", 2): (13, 8.0, 8),
     ("long", 0): (9, 7.0, 10),
     ("long", 1): (7, 5.0, 10),
 }

@@ -1,10 +1,11 @@
-"""Equivalence and structure tests for the compressed TISE LP.
+"""Equivalence and structure tests for the point-generation TISE LP.
 
-The telescoped constraint-(1) encoding and the domination prune are pure
-reformulations: on every instance the compressed LP must reach the same
-optimum as the legacy literal encoding (and the same Algorithm 1 rounded
-calibration count), while being strictly smaller.  These tests pin that,
-plus the supporting machinery: per-job feasible ranges, the point prune,
+:func:`solve_tise_lp` solves restricted LPs over a growing subset of the
+Lemma 3 pool and stops when no pool point prices out.  On every instance it
+must reach the optimum of the literal LP over the whole pool (and the same
+Algorithm 1 rounded calibration count on this suite), while its final
+restricted LP is never larger.  These tests pin that, plus the supporting
+machinery: the coverage prune of the pool, per-job feasible ranges,
 nameless builds, and the indexed ``job_coverage``.
 """
 
@@ -17,13 +18,13 @@ from repro.instances import long_window_instance
 from repro.longwindow import (
     build_tise_lp,
     potential_calibration_points,
-    prune_dominated_points,
     raw_calibration_points,
     round_calibrations,
     solve_tise_lp,
     tise_feasible_for,
     tise_feasible_range,
 )
+from repro.lp import get_backend
 
 # The TISE LP requires every window to fit a calibration (|window| >= T),
 # so the suite draws from the long-window generator across sizes, machine
@@ -50,68 +51,86 @@ def jobs_and_T(request):
     return instance.jobs, instance.calibration_length
 
 
+def _full_lp(jobs, T, machine_budget):
+    """The literal LP over the whole pool, solved by HiGHS in one go."""
+    model = build_tise_lp(jobs, T, machine_budget, names=False)
+    solution = get_backend("highs")(model.lp)
+    assert solution.ok
+    return model, solution
+
+
 class TestFormulationEquivalence:
+    """The restricted LP point generation converges to vs the full LP."""
+
     @pytest.mark.parametrize("machine_budget", [1, 2, 3])
     def test_same_objective(self, jobs_and_T, machine_budget):
         jobs, T = jobs_and_T
-        legacy = solve_tise_lp(jobs, T, machine_budget, formulation="legacy")
-        compressed = solve_tise_lp(
-            jobs, T, machine_budget, formulation="compressed"
-        )
-        assert close(legacy.objective, compressed.objective), (
-            f"legacy {legacy.objective!r} vs compressed "
-            f"{compressed.objective!r}"
+        _, full = _full_lp(jobs, T, machine_budget)
+        restricted = solve_tise_lp(jobs, T, machine_budget)
+        assert restricted.objective == pytest.approx(full.objective, rel=1e-7), (
+            f"full {full.objective!r} vs restricted {restricted.objective!r}"
         )
 
     def test_same_rounded_calibration_count(self, jobs_and_T):
         jobs, T = jobs_and_T
-        legacy = solve_tise_lp(jobs, T, 3, formulation="legacy")
-        compressed = solve_tise_lp(jobs, T, 3, formulation="compressed")
-        rounded_legacy = round_calibrations(legacy.calibrations, 3, T)
-        rounded_compressed = round_calibrations(compressed.calibrations, 3, T)
+        model, full = _full_lp(jobs, T, 3)
+        full_calibrations = {
+            t: float(full.x[idx])
+            for t, idx in model.c_vars.items()
+            if full.x[idx] > 1e-9
+        }
+        restricted = solve_tise_lp(jobs, T, 3)
+        rounded_full = round_calibrations(full_calibrations, 3, T)
+        rounded_restricted = round_calibrations(restricted.calibrations, 3, T)
         assert (
-            rounded_legacy.schedule.num_calibrations
-            == rounded_compressed.schedule.num_calibrations
+            rounded_full.schedule.num_calibrations
+            == rounded_restricted.schedule.num_calibrations
         )
 
     def test_compressed_is_never_larger(self, jobs_and_T):
         jobs, T = jobs_and_T
-        legacy = build_tise_lp(jobs, T, 3, formulation="legacy", names=False)
-        compressed = build_tise_lp(
-            jobs, T, 3, formulation="compressed", names=False
-        )
-        assert compressed.stats["nnz"] <= legacy.stats["nnz"]
-        assert compressed.stats["machine_nnz"] <= legacy.stats["machine_nnz"]
-        assert compressed.stats["points"] <= legacy.stats["points"]
+        full = build_tise_lp(jobs, T, 3, names=False)
+        restricted = solve_tise_lp(jobs, T, 3)
+        for key in ("rows", "cols", "nnz", "machine_nnz", "points"):
+            assert restricted.stats[key] <= full.stats[key], key
+        assert restricted.stats["points_pool"] == full.stats["points"]
 
     def test_unknown_formulation_rejected(self, jobs_and_T):
+        # Every build is the literal Section 3 LP: the formulation keyword
+        # is gone, and passing one fails loudly instead of being ignored.
         jobs, T = jobs_and_T
-        with pytest.raises(ValueError, match="formulation"):
+        with pytest.raises(TypeError, match="formulation"):
             build_tise_lp(jobs, T, 2, formulation="quantum")
+        with pytest.raises(TypeError, match="formulation"):
+            solve_tise_lp(jobs, T, 2, formulation="compressed")
 
 
 class TestDominationPrune:
+    """The coverage prune of the pool: a point no job can use is dominated."""
+
     def test_prune_preserves_lp_optimum(self, jobs_and_T):
         jobs, T = jobs_and_T
-        points = potential_calibration_points(jobs, T)
-        pruned = prune_dominated_points(points, jobs, T)
-        full = solve_tise_lp(jobs, T, 2, points=points, formulation="legacy")
-        thin = solve_tise_lp(jobs, T, 2, points=pruned, formulation="legacy")
+        pruned = potential_calibration_points(jobs, T)
+        raw = potential_calibration_points(jobs, T, prune=False)
+        full = solve_tise_lp(jobs, T, 2, points=raw)
+        thin = solve_tise_lp(jobs, T, 2, points=pruned)
         assert close(full.objective, thin.objective)
 
     def test_prune_returns_sorted_subset(self, jobs_and_T):
         jobs, T = jobs_and_T
         points = potential_calibration_points(jobs, T)
-        pruned = prune_dominated_points(points, jobs, T)
-        assert set(pruned) <= set(points)
-        assert pruned == sorted(pruned)
+        assert set(points) <= set(raw_calibration_points(jobs, T))
+        assert points == sorted(points)
+        solution = solve_tise_lp(jobs, T, 2, points=points)
+        assert set(solution.calibrations) <= set(points)
 
     def test_prune_is_idempotent(self, jobs_and_T):
+        # The optimum lives on its own support: a pool of just that support
+        # reaches the same value.
         jobs, T = jobs_and_T
-        points = potential_calibration_points(jobs, T)
-        once = prune_dominated_points(points, jobs, T)
-        twice = prune_dominated_points(once, jobs, T)
-        assert once == twice
+        once = solve_tise_lp(jobs, T, 2)
+        twice = solve_tise_lp(jobs, T, 2, points=sorted(once.calibrations))
+        assert close(once.objective, twice.objective)
 
 
 class TestFeasibleRange:
@@ -164,6 +183,9 @@ class TestSolutionIndexes:
     def test_stats_attached_to_solution(self, jobs_and_T):
         jobs, T = jobs_and_T
         solution = solve_tise_lp(jobs, T, 2)
-        for key in ("rows", "cols", "nnz", "machine_nnz", "points"):
+        for key in (
+            "rows", "cols", "nnz", "machine_nnz", "points", "points_pool",
+            "rounds", "phase1_rounds",
+        ):
             assert key in solution.stats
             assert solution.stats[key] >= 0
