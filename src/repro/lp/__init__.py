@@ -1,7 +1,8 @@
 """Linear-programming substrate.
 
 * :mod:`repro.lp.model` — solver-agnostic sparse LP builder.
-* :mod:`repro.lp.highs` — SciPy/HiGHS backend (default).
+* :mod:`repro.lp.highs` — HiGHS backend (default), driven through SciPy's
+  bundled HiGHS bindings.
 * :mod:`repro.lp.simplex` — in-repo bounded-variable revised simplex: the
   fallback after HiGHS in the default LP chain, the differential-test
   oracle, and the ABL3 ablation.

@@ -1,31 +1,117 @@
-"""HiGHS LP backend (via :func:`scipy.optimize.linprog`).
+"""HiGHS LP backend, driven through SciPy's bundled HiGHS bindings.
 
-This is the default backend for the TISE relaxation: the LPs of Section 3
-have tens of thousands of sparse columns at the benched sizes, which HiGHS
-solves in milliseconds.  The in-repo :mod:`repro.lp.simplex` backend exists
-as an independently-implemented substrate and cross-check.
+This is the default backend for the TISE relaxation; the in-repo
+:mod:`repro.lp.simplex` backend exists as an independently implemented
+substrate and cross-check.
+
+Why not :func:`scipy.optimize.linprog`: since the TISE LP is solved by
+point generation its LPs are small (an online session's replans solve 4 x 3
+LPs), so the interface, not HiGHS, was the cost.  ``linprog`` cleans and
+copies every input, re-stacks the sparse blocks into CSC and validates each
+option through a freshly built options manager, which took ~3 ms around a
+~0.4 ms HiGHS run.  Here the model is exported once
+(:meth:`LinearProgram.to_colwise`, one vectorised pass) and handed to a
+fresh ``_Highs`` object from ``scipy.optimize._highspy._core`` — the module
+``linprog`` itself calls, so no new import or dependency is added.
+
+What is replicated from ``linprog(method="highs")``, so that ``x``, the
+objective, both dual vectors and the iteration count are bit-identical
+(``tests/lp/test_highs_direct.py`` checks this against ``linprog``):
+
+* **Row order.**  LE and GE rows (GE negated) in model order, then EQ rows;
+  duplicate terms summed, row indices sorted within each column.
+* **Options.**  ``presolve="on"``, ``simplex_strategy=1`` (dual simplex),
+  ``highs_debug_level=0``, no output, and ``time_limit`` when given.
+* **Infinities.**  ``±inf`` bounds map to ``±kHighsInf``; a NaN variable
+  bound means "unbounded", as ``linprog``'s bounds cleaning reads it.
+* **Input checks.**  A non-finite cost, coefficient or right-hand side is
+  rejected (:class:`SolverError`), as ``linprog`` rejects it.
+* **Status mapping.**  ``kOptimal`` is OPTIMAL; ``kInfeasible`` and
+  ``kModelError`` are INFEASIBLE; ``kUnbounded`` is UNBOUNDED; a time or
+  iteration limit under a ``time_limit`` raises
+  :class:`StageTimeoutError`; anything else is ERROR.
+* **Post-check.**  ``linprog``'s feasibility check of an "optimal" answer
+  (no NaNs, bounds, inequality slack and equality residuals all within
+  ``10 * sqrt(1e-9)``): a failing answer is ERROR, so the backend fallback
+  chain still fires.
+
+A ``_Highs`` object is never shared between calls: serve workers solve on
+threads.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _h
 
 from ..core.errors import SolverError, StageTimeoutError
-from .model import LinearProgram, LPSolution, LPStatus
+from .model import ColwiseLP, LinearProgram, LPSolution, LPStatus
 
-__all__ = ["HighsBackend", "solve_highs"]
+__all__ = ["HighsBackend", "solve_highs", "feasibility_violation"]
 
+# linprog's defaults for method="highs", minus the options it leaves unset.
+_OPTIONS: tuple[tuple[str, object], ...] = (
+    ("presolve", "on"),
+    ("simplex_strategy", int(_h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+    ("highs_debug_level", int(_h.HighsDebugLevel.kHighsDebugLevelNone)),
+    ("output_flag", False),
+    ("log_to_console", False),
+)
 
+_MS = _h.HighsModelStatus
 _STATUS_MAP = {
-    0: LPStatus.OPTIMAL,
-    2: LPStatus.INFEASIBLE,
-    3: LPStatus.UNBOUNDED,
+    _MS.kOptimal: LPStatus.OPTIMAL,
+    _MS.kInfeasible: LPStatus.INFEASIBLE,
+    _MS.kModelError: LPStatus.INFEASIBLE,
+    _MS.kUnbounded: LPStatus.UNBOUNDED,
 }
+_LIMIT_STATUSES = frozenset({_MS.kTimeLimit, _MS.kIterationLimit})
 
-_TIME_LIMIT_STATUS = 1  # scipy: "iteration or time limit reached"
+# linprog's post-solve tolerance: 10 * sqrt(tol) with its default tol=1e-9.
+FEASIBILITY_TOL = 10.0 * math.sqrt(1e-9)
+
+
+def _highs_inf(values: np.ndarray) -> np.ndarray:
+    """Map ``±inf`` to ``±kHighsInf`` (a no-op while kHighsInf is inf)."""
+    if math.isinf(_h.kHighsInf):
+        return values
+    return np.where(np.isinf(values), np.copysign(_h.kHighsInf, values), values)
+
+
+def feasibility_violation(
+    lp: ColwiseLP,
+    x: np.ndarray,
+    row_value: np.ndarray,
+    objective: float,
+    lb: np.ndarray,
+    ub: np.ndarray,
+) -> str | None:
+    """``linprog``'s post-solve feasibility check; None when ``x`` passes.
+
+    ``lb``/``ub`` are the cleaned variable bounds; ``row_value`` is ``A x``
+    as HiGHS reports it, in ``lp``'s row order.
+    """
+    k = lp.num_ineq
+    slack = lp.row_upper[:k] - row_value[:k]
+    residual = lp.row_upper[k:] - row_value[k:]
+    tol = FEASIBILITY_TOL
+    if (
+        np.isnan(x).any()
+        or math.isnan(objective)
+        or np.isnan(slack).any()
+        or np.isnan(residual).any()
+    ):
+        return "the solution contains NaN"
+    if not np.all((x >= lb - tol) & (x <= ub + tol)):
+        return f"the solution violates a variable bound by more than {tol:.2E}"
+    if (slack < -tol).any():
+        return f"the solution violates an inequality row by more than {tol:.2E}"
+    if (np.abs(residual) > tol).any():
+        return f"the solution violates an equality row by more than {tol:.2E}"
+    return None
 
 
 def solve_highs(
@@ -39,38 +125,63 @@ def solve_highs(
     :class:`StageTimeoutError` so the resilience layer can fall back.
     """
     tic = time.perf_counter()
-    c, a_ub, b_ub, a_eq, b_eq, lb, ub = model.to_standard_arrays()
     if model.num_variables == 0:
         return LPSolution(status=LPStatus.OPTIMAL, objective=0.0, x=np.empty(0))
-    bounds = np.column_stack([lb, ub])
-    options = {}
-    if time_limit is not None:
-        if time_limit <= 0:
-            raise StageTimeoutError(
-                "no time left for the HiGHS LP solve",
-                stage="lp",
-                backend="highs",
-                elapsed=0.0,
-            )
-        options["time_limit"] = float(time_limit)
-    try:
-        result = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-            options=options or None,
-        )
-    except ValueError as exc:  # malformed model dimensions etc.
-        raise SolverError(
-            f"HiGHS rejected LP {model.name or '<unnamed>'} [{model.dims()}]: {exc}",
+    if time_limit is not None and time_limit <= 0:
+        raise StageTimeoutError(
+            "no time left for the HiGHS LP solve",
             stage="lp",
             backend="highs",
-        ) from exc
-    if time_limit is not None and result.status == _TIME_LIMIT_STATUS:
+            elapsed=0.0,
+        )
+    lp = model.to_colwise()
+    if not (
+        np.isfinite(lp.c).all()
+        and np.isfinite(lp.value).all()
+        and np.isfinite(lp.row_upper).all()
+    ):
+        raise SolverError(
+            f"HiGHS rejected LP {model.name or '<unnamed>'} [{model.dims()}]: "
+            "costs, coefficients and right-hand sides must be finite",
+            stage="lp",
+            backend="highs",
+        )
+    lb = np.where(np.isnan(lp.lb), -np.inf, lp.lb)
+    ub = np.where(np.isnan(lp.ub), np.inf, lp.ub)
+
+    highs_lp = _h.HighsLp()
+    num_col = lp.c.size
+    num_row = lp.num_rows
+    highs_lp.num_col_ = num_col
+    highs_lp.num_row_ = num_row
+    highs_lp.col_cost_ = lp.c
+    highs_lp.col_lower_ = _highs_inf(lb)
+    highs_lp.col_upper_ = _highs_inf(ub)
+    highs_lp.row_lower_ = _highs_inf(lp.row_lower)
+    highs_lp.row_upper_ = lp.row_upper
+    matrix = highs_lp.a_matrix_
+    matrix.num_col_ = num_col
+    matrix.num_row_ = num_row
+    matrix.format_ = _h.MatrixFormat.kColwise
+    # The bindings copy float arrays through the buffer protocol but int
+    # arrays element by element; a list of Python ints converts faster.
+    matrix.start_ = lp.start.tolist()
+    matrix.index_ = lp.index.tolist()
+    matrix.value_ = lp.value
+
+    highs = _h._Highs()
+    for key, value in _OPTIONS:
+        highs.setOptionValue(key, value)
+    if time_limit is not None:
+        highs.setOptionValue("time_limit", float(time_limit))
+    if highs.passModel(highs_lp) == _h.HighsStatus.kError:
+        model_status = _MS.kModelError
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    message = f"HiGHS: {highs.modelStatusToString(model_status)}"
+
+    if time_limit is not None and model_status in _LIMIT_STATUSES:
         raise StageTimeoutError(
             f"HiGHS hit the {time_limit:g}s time limit on LP "
             f"{model.name or '<unnamed>'} [{model.dims()}]",
@@ -78,29 +189,34 @@ def solve_highs(
             backend="highs",
             elapsed=float(time_limit),
         )
-    status = _STATUS_MAP.get(result.status, LPStatus.ERROR)
-    if status is LPStatus.OPTIMAL:
-        dual_ineq = (
-            np.asarray(result.ineqlin.marginals, dtype=float)
-            if a_ub is not None and hasattr(result, "ineqlin")
-            else None
-        )
-        dual_eq = (
-            np.asarray(result.eqlin.marginals, dtype=float)
-            if a_eq is not None and hasattr(result, "eqlin")
-            else None
-        )
+    status = _STATUS_MAP.get(model_status, LPStatus.ERROR)
+    if status is not LPStatus.OPTIMAL:
+        return LPSolution(status=status, objective=None, x=None, message=message)
+
+    solution = highs.getSolution()
+    info = highs.getInfo()
+    x = np.array(solution.col_value, dtype=float)
+    objective = float(info.objective_function_value)
+    violation = feasibility_violation(
+        lp, x, np.array(solution.row_value, dtype=float), objective, lb, ub
+    )
+    if violation is not None:
         return LPSolution(
-            status=status,
-            objective=float(result.fun),
-            x=np.asarray(result.x, dtype=float),
-            message=result.message,
-            dual_ineq=dual_ineq,
-            dual_eq=dual_eq,
-            iterations=int(getattr(result, "nit", 0)),
-            solve_ms=(time.perf_counter() - tic) * 1e3,
+            status=LPStatus.ERROR, objective=None, x=None,
+            message=f"{message}, but {violation}",
         )
-    return LPSolution(status=status, objective=None, x=None, message=result.message)
+    row_dual = np.array(solution.row_dual, dtype=float)
+    k = lp.num_ineq
+    return LPSolution(
+        status=status,
+        objective=objective,
+        x=x,
+        message=message,
+        dual_ineq=row_dual[:k] if k else None,
+        dual_eq=row_dual[k:] if num_row > k else None,
+        iterations=int(info.simplex_iteration_count or info.ipm_iteration_count),
+        solve_ms=(time.perf_counter() - tic) * 1e3,
+    )
 
 
 class HighsBackend:

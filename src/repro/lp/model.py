@@ -8,9 +8,10 @@ matrix assembly, so triplets are buffered in flat Python lists and converted
 to numpy arrays once (see the hpc-parallel guide: vectorize the bulk
 operation, not the bookkeeping).
 
-The model is solver-agnostic: :mod:`repro.lp.highs` solves it with SciPy's
-HiGHS interface and :mod:`repro.lp.simplex` with the in-repo dense simplex.
-Both return an :class:`LPSolution`.
+The model is solver-agnostic: :mod:`repro.lp.highs` solves its column-wise
+export (:meth:`LinearProgram.to_colwise`) with HiGHS and
+:mod:`repro.lp.simplex` its row blocks (:meth:`LinearProgram.to_standard_arrays`)
+with the in-repo revised simplex.  Both return an :class:`LPSolution`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "Sense",
     "LPStatus",
     "LPSolution",
+    "ColwiseLP",
     "LinearProgram",
 ]
 
@@ -123,6 +125,37 @@ class LPSolution:
         if self.x is None:
             raise SolverError(f"no solution available (status={self.status.value})")
         return float(self.x[index])
+
+
+_SENSE_CODE = {Sense.LE: 0, Sense.GE: 1, Sense.EQ: 2}
+
+
+@dataclass(frozen=True)
+class ColwiseLP:
+    """A :class:`LinearProgram` as ``row_lower <= A x <= row_upper, lb <= x <= ub``.
+
+    ``A`` is column-wise (CSC): column ``j``'s row indices are
+    ``index[start[j]:start[j+1]]`` (ascending, no duplicates) with
+    coefficients ``value[...]``; ``start``/``index`` are int32, HiGHS's
+    index type.  Rows follow :func:`scipy.optimize.linprog`'s order: the
+    first ``num_ineq`` are the LE and GE rows in model order (GE rows
+    negated, ``row_lower = -inf``), then the EQ rows
+    (``row_lower == row_upper``).
+    """
+
+    c: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    num_ineq: int
+
+    @property
+    def num_rows(self) -> int:
+        return int(self.row_upper.size)
 
 
 class LinearProgram:
@@ -238,62 +271,93 @@ class LinearProgram:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
+    def to_colwise(self) -> ColwiseLP:
+        """Export the model in column-wise (CSC) form; see :class:`ColwiseLP`.
+
+        One vectorised pass: GE rows are negated into LE form, rows are
+        reordered inequalities-first (model order within each block),
+        duplicate ``(row, col)`` terms are summed and row indices are sorted
+        within each column.
+        """
+        nvar = self.num_variables
+        nrow = self.num_constraints
+        kind = np.fromiter(
+            map(_SENSE_CODE.__getitem__, self._senses), dtype=np.int8, count=nrow
+        )
+        is_eq = kind == _SENSE_CODE[Sense.EQ]
+        sign = np.where(kind == _SENSE_CODE[Sense.GE], -1.0, 1.0)
+        rhs = np.asarray(self._rhs, dtype=float) * sign
+        order = np.concatenate((np.flatnonzero(~is_eq), np.flatnonzero(is_eq)))
+        new_row = np.empty(nrow, dtype=np.int64)
+        new_row[order] = np.arange(nrow, dtype=np.int64)
+
+        orig_rows = np.asarray(self._rows, dtype=np.int64)
+        cols = np.asarray(self._cols, dtype=np.int64)
+        vals = np.asarray(self._vals, dtype=float) * sign[orig_rows]
+        key = cols * nrow + new_row[orig_rows]
+        perm = np.argsort(key, kind="stable")
+        key = key[perm]
+        vals = vals[perm]
+        if key.size:
+            first = np.empty(key.size, dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            if not first.all():
+                vals = np.add.reduceat(vals, np.flatnonzero(first))
+                key = key[first]
+        col_of = key // max(nrow, 1)
+        start = np.zeros(nvar + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col_of, minlength=nvar), out=start[1:])
+        return ColwiseLP(
+            c=np.asarray(self._obj, dtype=float),
+            start=start,
+            index=(key - col_of * nrow).astype(np.int32),
+            value=vals,
+            row_lower=np.where(is_eq, rhs, -np.inf)[order],
+            row_upper=rhs[order],
+            lb=np.asarray(self._lb, dtype=float),
+            ub=np.asarray(self._ub, dtype=float),
+            num_ineq=int(nrow - np.count_nonzero(is_eq)),
+        )
+
     def to_standard_arrays(
         self,
     ) -> tuple[np.ndarray, sparse.csr_matrix | None, np.ndarray | None,
                sparse.csr_matrix | None, np.ndarray | None, np.ndarray, np.ndarray]:
         """Export ``(c, A_ub, b_ub, A_eq, b_eq, lb, ub)``.
 
-        GE rows are negated into LE form.  Matrix blocks are None when the
-        model has no rows of that kind (SciPy's expected convention).
+        The row split of :meth:`to_colwise`: GE rows negated into LE form,
+        duplicate terms summed.  Matrix blocks are canonical CSR (sorted
+        column indices) and None when the model has no rows of that kind
+        (SciPy's expected convention).
         """
+        lp = self.to_colwise()
         nvar = self.num_variables
-        c = np.asarray(self._obj, dtype=float)
-        lb = np.asarray(self._lb, dtype=float)
-        ub = np.asarray(self._ub, dtype=float)
+        k = lp.num_ineq
+        rows = lp.index.astype(np.int64)
+        cols = np.repeat(np.arange(nvar, dtype=np.int32), np.diff(lp.start))
+        # A stable sort by row keeps each row's columns ascending.
+        by_row = np.argsort(rows, kind="stable")
+        rows = rows[by_row]
+        cols = cols[by_row]
+        vals = lp.value[by_row]
 
-        rows = np.asarray(self._rows, dtype=np.int64)
-        cols = np.asarray(self._cols, dtype=np.int64)
-        vals = np.asarray(self._vals, dtype=float)
-        senses = self._senses
-        rhs = np.asarray(self._rhs, dtype=float)
-
-        ub_row_ids = [i for i, s in enumerate(senses) if s is not Sense.EQ]
-        eq_row_ids = [i for i, s in enumerate(senses) if s is Sense.EQ]
-
-        def build(selected: list[int], flip_ge: bool) -> tuple[sparse.csr_matrix | None, np.ndarray | None]:
-            if not selected:
+        def block(
+            lo: int, hi: int
+        ) -> tuple[sparse.csr_matrix | None, np.ndarray | None]:
+            if lo == hi:
                 return None, None
-            remap = {orig: new for new, orig in enumerate(selected)}
-            if len(rows):
-                mask = np.isin(rows, np.asarray(selected, dtype=np.int64))
-                sel_rows = rows[mask]
-                sel_cols = cols[mask]
-                sel_vals = vals[mask].copy()
-            else:
-                sel_rows = np.empty(0, dtype=np.int64)
-                sel_cols = np.empty(0, dtype=np.int64)
-                sel_vals = np.empty(0, dtype=float)
-            new_rows = np.asarray([remap[r] for r in sel_rows], dtype=np.int64)
-            b = rhs[np.asarray(selected, dtype=np.int64)].copy()
-            if flip_ge:
-                ge_orig = {i for i in selected if senses[i] is Sense.GE}
-                if ge_orig:
-                    flip_mask = np.asarray(
-                        [r in ge_orig for r in sel_rows], dtype=bool
-                    )
-                    sel_vals[flip_mask] *= -1.0
-                    for new_i, orig in enumerate(selected):
-                        if orig in ge_orig:
-                            b[new_i] *= -1.0
-            mat = sparse.coo_matrix(
-                (sel_vals, (new_rows, sel_cols)), shape=(len(selected), nvar)
-            ).tocsr()
-            return mat, b
+            indptr = np.searchsorted(rows, np.arange(lo, hi + 1)).astype(np.int32)
+            first, last = indptr[0], indptr[-1]
+            mat = sparse.csr_matrix(
+                (vals[first:last], cols[first:last], indptr - first),
+                shape=(hi - lo, nvar),
+            )
+            return mat, lp.row_upper[lo:hi].copy()
 
-        a_ub, b_ub = build(ub_row_ids, flip_ge=True)
-        a_eq, b_eq = build(eq_row_ids, flip_ge=False)
-        return c, a_ub, b_ub, a_eq, b_eq, lb, ub
+        a_ub, b_ub = block(0, k)
+        a_eq, b_eq = block(k, lp.num_rows)
+        return lp.c, a_ub, b_ub, a_eq, b_eq, lp.lb, lp.ub
 
     def constraint_violation(self, x: np.ndarray, eps: float = 1e-7) -> float:
         """Maximum violation of any constraint/bound at point ``x``.

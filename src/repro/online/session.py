@@ -623,16 +623,13 @@ class ISESession:
         due = [c for c in tentative.calibrations if lt(c.start, horizon)]
         if not due:
             return tentative, []
-        processing = {
-            job_id: job.processing for job_id, (job, _) in jobs.items()
-        }
         due_keys: list[_CalKey] = []
         claimed: dict[_CalKey, list[ScheduledJob]] = {}
         remaining_placements = []
         due_set = {(c.start, c.machine) for c in due}
         for placement in tentative.placements:
             cal = tentative.enclosing_calibration(
-                placement, processing[placement.job_id]
+                placement, jobs[placement.job_id][0].processing
             )
             if cal is not None and (cal.start, cal.machine) in due_set:
                 claimed.setdefault((cal.start, cal.machine), []).append(
@@ -741,10 +738,15 @@ class ISESession:
 
         Compares the candidate committed pool against the installed one;
         any calibration or locked placement that would disappear aborts
-        the mutation with :class:`CommitRetractionError`.
+        the mutation with :class:`CommitRetractionError`.  Groups are
+        immutable tuples, so a key still holding the very same group object
+        retracted nothing and is skipped; every other key is compared in
+        full.
         """
         retracted: list[_CalKey] = []
         for key, group in self._committed.items():
+            if committed.get(key) is group:
+                continue
             before = {(p.job_id, p.start, p.machine) for p in group}
             after = {
                 (p.job_id, p.start, p.machine)

@@ -150,6 +150,49 @@ def test_never_retract_check_rejects_unlocked_job() -> None:
         session._check_never_retract(dict(session._committed), set())
 
 
+def _two_commit_session() -> ISESession:
+    session = _memory_session(commit_horizon=100.0)
+    session.submit_job(1, release=0.0, deadline=6.0, processing=3.0)
+    session.submit_job(2, release=20.0, deadline=26.0, processing=3.0)
+    assert len(session._committed) == 2
+    return session
+
+
+def test_never_retract_check_accepts_untouched_and_equal_groups() -> None:
+    session = _two_commit_session()
+    session._check_never_retract(dict(session._committed), set(session._locked))
+    # An equal group that is a different object is compared in full.
+    rebuilt = {key: tuple(list(group)) for key, group in session._committed.items()}
+    session._check_never_retract(rebuilt, set(session._locked))
+
+
+def test_never_retract_check_rejects_one_dropped_key() -> None:
+    # The other key still holds its very same group object (the fast skip).
+    session = _two_commit_session()
+    first, second = sorted(session._committed)
+    candidate = dict(session._committed)
+    del candidate[second]
+    with pytest.raises(CommitRetractionError) as info:
+        session._check_never_retract(candidate, set(session._locked))
+    assert info.value.retracted == (second,)
+
+
+def test_never_retract_check_rejects_group_replaced_by_strict_subset() -> None:
+    session = _two_commit_session()
+    first, second = sorted(session._committed)
+    candidate = dict(session._committed)
+    candidate[first] = candidate[first][:-1]
+    with pytest.raises(CommitRetractionError) as info:
+        session._check_never_retract(candidate, set(session._locked))
+    assert info.value.retracted == (first,)
+
+
+def test_never_retract_check_rejects_unlocked_job_with_untouched_groups() -> None:
+    session = _two_commit_session()
+    with pytest.raises(CommitRetractionError):
+        session._check_never_retract(dict(session._committed), {1})
+
+
 def test_journal_create_refuses_to_clobber(tmp_path: Path) -> None:
     from repro.core.errors import InvalidArtifactError
 
