@@ -48,13 +48,13 @@ def _best_pair_ms(cases: list[SweepCase], scratch: Path) -> tuple[float, float]:
     checkpointed_samples = []
     for index in range(REPEATS):
         tic = time.perf_counter()
-        run_sweep_report(cases, mode="serial")
+        run_sweep_report(cases)
         plain_samples.append((time.perf_counter() - tic) * 1e3)
 
         checkpoint_dir = scratch / f"run{index}"
         checkpoint_dir.mkdir()
         tic = time.perf_counter()
-        run_sweep_report(cases, mode="serial", checkpoint_dir=checkpoint_dir)
+        run_sweep_report(cases, checkpoint_dir=checkpoint_dir)
         checkpointed_samples.append((time.perf_counter() - tic) * 1e3)
     return min(plain_samples), min(checkpointed_samples)
 
@@ -70,7 +70,7 @@ def bench_checkpoint_overhead(benchmark, report, perf_json):
     try:
         for n in SIZES:
             cases = _cases(n)
-            run_sweep_report(cases, mode="serial")  # warm every code path
+            run_sweep_report(cases)  # warm every code path
             size_scratch = scratch / str(n)
             size_scratch.mkdir(parents=True)
             plain, checkpointed = _best_pair_ms(cases, size_scratch)
@@ -108,4 +108,4 @@ def bench_checkpoint_overhead(benchmark, report, perf_json):
     )
 
     cases = _cases(SIZES[0])
-    benchmark(lambda: run_sweep_report(cases, mode="serial"))
+    benchmark(lambda: run_sweep_report(cases))

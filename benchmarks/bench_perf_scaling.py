@@ -1,4 +1,4 @@
-"""PERF — running-time scaling, LP point generation, and parallel execution.
+"""PERF — running-time scaling, LP point generation, and the sweep pool.
 
 Paper claim (Theorem 1): the algorithm runs in time polynomial in the input
 length times the MM black box's time.  Measured here:
@@ -7,19 +7,19 @@ length times the MM black box's time.  Measured here:
 * the literal LP over the whole Lemma 3 pool vs the restricted LP that
   point generation converges to — rows/nonzeros/rounds/time, with
   identical optima;
-* serial vs parallel execution of the per-interval MM solves and the sweep
-  case loop — schedules must be byte-identical, walls are recorded.
+* serial vs pooled execution of the sweep case loop — outcomes must be
+  identical, walls are recorded.
 
 Everything measured lands in the machine-readable ``BENCH_perf.json``
 artifact via the ``perf_json`` fixture (see docs/performance.md).  With
 ``PERF_SMOKE=1`` in the environment only the two smallest sizes per axis
 run — the CI perf-smoke job uses this to keep the artifact fresh cheaply.
 
-Note on speedup assertions: this host may be single-core (CI sandboxes
-often are), in which case worker pools cannot beat the serial wall no
-matter how independent the tasks are.  Parallel-vs-serial *identity* is
-asserted unconditionally; wall-time improvement is asserted only when the
-host has at least two cores.
+Note on speedup assertions: on a single-core host a process pool cannot
+beat the serial wall no matter how independent the cases are.  Pooled-vs-
+serial *identity* is asserted unconditionally; wall-time improvement is
+asserted only when the host has at least as many cores as the pool has
+workers.
 """
 
 from __future__ import annotations
@@ -29,27 +29,25 @@ import time
 
 from repro.analysis import Table
 from repro.analysis.sweep import SweepCase, run_sweep
+from repro.instances.suite import preset_cases
 from repro.core.tolerance import close
 from repro.instances import long_window_instance, short_window_instance
 from repro.longwindow import LongWindowSolver, build_tise_lp, solve_tise_lp
 from repro.lp import solve_highs
-from repro.shortwindow import ShortWindowConfig, ShortWindowSolver
+from repro.shortwindow import ShortWindowSolver
 
 PERF_SMOKE = bool(os.environ.get("PERF_SMOKE"))
 
 LONG_SIZES = [8, 16] if PERF_SMOKE else [8, 16, 24, 32]
 SHORT_SIZES = [10, 20] if PERF_SMOKE else [10, 20, 40, 60]
-PARALLEL_SHORT_SIZES = [60, 120] if PERF_SMOKE else [120, 240, 400]
-WORKERS = 4
+WORKERS = 2
 CPU_COUNT = os.cpu_count() or 1
-
-
-def _cpu_note(table: Table) -> None:
-    if CPU_COUNT < 2:
-        table.add_note(
-            f"host has {CPU_COUNT} core(s): pool overhead cannot be recouped, "
-            "so only output identity is asserted, not wall-time improvement"
-        )
+#: The gated sweep: the ``large`` preset is the smallest suite whose cases
+#: are big enough to repay the pool's start-up on two cores.
+GATED_PRESET = "large"
+#: Each wall is the best of this many runs, so one slow run on a noisy
+#: host cannot decide the gate.
+SWEEP_REPEATS = 3
 
 
 def bench_lp_point_generation(report, perf_json):
@@ -152,7 +150,10 @@ def bench_perf_scaling_short(benchmark, report, perf_json):
     solver = ShortWindowSolver()
     table = Table(
         title="PERF (short side): per-stage wall time vs n",
-        columns=["n", "partition ms", "mm ms", "lift ms", "validate ms", "intervals"],
+        columns=[
+            "n", "partition ms", "mm ms", "lift ms", "lower bound ms",
+            "validate ms", "intervals",
+        ],
     )
     rows = []
     for n in SHORT_SIZES:
@@ -171,6 +172,7 @@ def bench_perf_scaling_short(benchmark, report, perf_json):
             wt["partition"] * 1e3,
             wt["mm"] * 1e3,
             wt["lift"] * 1e3,
+            wt["lower_bound"] * 1e3,
             wt.get("validate", 0.0) * 1e3,
             len(result.intervals),
         )
@@ -185,86 +187,8 @@ def bench_perf_scaling_short(benchmark, report, perf_json):
     benchmark(lambda: solver.solve(gen.instance))
 
 
-def bench_perf_parallel_short(report, perf_json):
-    """Serial vs parallel per-interval MM solves: identical output, walls."""
-    table = Table(
-        title="PERF (parallel): per-interval MM fan-out, serial vs pool",
-        columns=[
-            "n", "intervals", "serial mm ms", "pool mm ms", "speedup",
-            "workers", "identical",
-        ],
-    )
-    rows = []
-    for n in PARALLEL_SHORT_SIZES:
-        gen = short_window_instance(n, 4, 10.0, seed=n)
-        instance = gen.instance
-        serial_cfg = ShortWindowConfig(mm_algorithm="exact")
-        pool_cfg = ShortWindowConfig(mm_algorithm="exact", max_workers=WORKERS)
-        ShortWindowSolver(serial_cfg).solve(instance)  # warm caches
-        tic = time.perf_counter()
-        serial = ShortWindowSolver(serial_cfg).solve(instance)
-        serial_wall = time.perf_counter() - tic
-        tic = time.perf_counter()
-        pooled = ShortWindowSolver(pool_cfg).solve(instance)
-        pool_wall = time.perf_counter() - tic
-        identical = serial.schedule == pooled.schedule
-        assert identical, f"n={n}: parallel short-window schedule differs from serial"
-        if CPU_COUNT >= 2:
-            assert pool_wall < serial_wall, (
-                f"n={n}: {WORKERS} workers on {CPU_COUNT} cores did not beat "
-                f"the serial wall ({pool_wall:.3f}s vs {serial_wall:.3f}s)"
-            )
-        speedup = serial_wall / pool_wall if pool_wall > 0 else float("inf")
-        rows.append(
-            {
-                "n": n,
-                "intervals": len(serial.intervals),
-                "serial_wall_ms": round(serial_wall * 1e3, 3),
-                "parallel_wall_ms": round(pool_wall * 1e3, 3),
-                "serial_mm_ms": round(serial.wall_times["mm"] * 1e3, 3),
-                "parallel_mm_ms": round(pooled.wall_times["mm"] * 1e3, 3),
-                "parallel_mm_cpu_ms": round(pooled.wall_times["mm_cpu"] * 1e3, 3),
-                "speedup": round(speedup, 3),
-                "workers_used": pooled.workers_used,
-                "identical_schedules": identical,
-            }
-        )
-        table.add_row(
-            n, len(serial.intervals), serial.wall_times["mm"] * 1e3,
-            pooled.wall_times["mm"] * 1e3, speedup, pooled.workers_used,
-            identical,
-        )
-    _cpu_note(table)
-    report(table, "perf_parallel_short")
-    perf_json(
-        "short_parallel",
-        {
-            "workers": WORKERS,
-            "cpu_count": CPU_COUNT,
-            # Honest flag for starved runners: with fewer cores than
-            # workers the speedup number measures pool overhead, not
-            # parallelism, and the baseline gate must not regress on it.
-            "under_provisioned": CPU_COUNT < WORKERS,
-            "mm_algorithm": "exact",
-            "sizes": rows,
-        },
-    )
-
-
-def bench_perf_parallel_sweep(report, perf_json):
-    """Serial vs parallel sweep case loop: identical outcomes, walls."""
-    sweep_n = 16 if PERF_SMOKE else 24
-    cases = [
-        SweepCase(family=family, n=sweep_n, machines=2, calibration_length=10.0, seed=seed)
-        for family in ("mixed", "short", "long")
-        for seed in range(2 if PERF_SMOKE else 4)
-    ]
-    tic = time.perf_counter()
-    serial = run_sweep(cases)
-    serial_wall = time.perf_counter() - tic
-    tic = time.perf_counter()
-    pooled = run_sweep(cases, workers=WORKERS)
-    pool_wall = time.perf_counter() - tic
+def _sweep_walls(cases) -> tuple[float, float, bool]:
+    """Best-of-``SWEEP_REPEATS`` serial and pooled walls, and identity."""
 
     def strip(outcome):
         return (
@@ -272,33 +196,86 @@ def bench_perf_parallel_sweep(report, perf_json):
             outcome.lower_bound, outcome.machines_used, outcome.valid,
         )
 
-    identical = [strip(a) for a in serial] == [strip(b) for b in pooled]
-    assert identical, "parallel sweep outcomes differ from serial"
-    if CPU_COUNT >= 2:
-        assert pool_wall < serial_wall, (
-            f"{WORKERS} workers on {CPU_COUNT} cores did not beat the serial "
-            f"sweep wall ({pool_wall:.3f}s vs {serial_wall:.3f}s)"
+    serial_wall = pool_wall = float("inf")
+    identical = True
+    for _ in range(SWEEP_REPEATS):
+        tic = time.perf_counter()
+        serial = run_sweep(cases)
+        serial_wall = min(serial_wall, time.perf_counter() - tic)
+        tic = time.perf_counter()
+        pooled = run_sweep(cases, workers=WORKERS)
+        pool_wall = min(pool_wall, time.perf_counter() - tic)
+        identical = identical and [strip(a) for a in serial] == [strip(b) for b in pooled]
+    return serial_wall, pool_wall, identical
+
+
+def _sweep_row(label: str, cases) -> dict:
+    serial_wall, pool_wall, identical = _sweep_walls(cases)
+    assert identical, f"{label}: pooled sweep outcomes differ from serial"
+    return {
+        "label": label,
+        "cases": len(cases),
+        "serial_wall_ms": round(serial_wall * 1e3, 3),
+        "parallel_wall_ms": round(pool_wall * 1e3, 3),
+        "speedup": round(serial_wall / pool_wall, 3),
+        "identical_outcomes": identical,
+    }
+
+
+def bench_perf_parallel_sweep(report, perf_json):
+    """Serial vs pooled sweep case loop: identical outcomes, walls.
+
+    The wall gain is asserted on the ``large`` preset only.  The two small
+    sweeps are recorded with their speedup but not gated: their cases
+    solve in a few milliseconds each, so the pool's start-up dominates.
+    """
+    run_sweep(preset_cases(GATED_PRESET))  # warm imports and caches
+    gated = _sweep_row(f"preset {GATED_PRESET}", preset_cases(GATED_PRESET))
+    small = [
+        _sweep_row(
+            f"{3 * seeds} cases n={n}",
+            [
+                SweepCase(family=family, n=n, machines=2, calibration_length=10.0, seed=seed)
+                for family in ("mixed", "short", "long")
+                for seed in range(seeds)
+            ],
         )
-    speedup = serial_wall / pool_wall if pool_wall > 0 else float("inf")
+        for n, seeds in ((16, 2), (24, 4))
+    ]
+    under_provisioned = CPU_COUNT < WORKERS
+    if not under_provisioned:
+        assert gated["speedup"] > 1.0, (
+            f"{WORKERS} workers on {CPU_COUNT} cores did not beat the serial "
+            f"{GATED_PRESET} sweep wall ({gated['parallel_wall_ms']:.1f} ms vs "
+            f"{gated['serial_wall_ms']:.1f} ms)"
+        )
     table = Table(
-        title="PERF (parallel): sweep case loop, serial vs pool",
-        columns=["cases", "serial ms", "pool ms", "speedup", "identical"],
+        title=f"PERF (sweep pool): serial vs {WORKERS} workers, best of {SWEEP_REPEATS}",
+        columns=["sweep", "cases", "serial ms", "pool ms", "speedup", "gated", "identical"],
     )
-    table.add_row(
-        len(cases), serial_wall * 1e3, pool_wall * 1e3, speedup, identical
-    )
-    _cpu_note(table)
+    for row in [gated, *small]:
+        table.add_row(
+            row["label"], row["cases"], row["serial_wall_ms"], row["parallel_wall_ms"],
+            row["speedup"], row is gated, row["identical_outcomes"],
+        )
+    if under_provisioned:
+        table.add_note(
+            f"host has {CPU_COUNT} core(s) for {WORKERS} workers: only output "
+            "identity is asserted, not wall-time improvement"
+        )
     report(table, "perf_parallel_sweep")
     perf_json(
         "sweep_parallel",
         {
             "workers": WORKERS,
             "cpu_count": CPU_COUNT,
-            "under_provisioned": CPU_COUNT < WORKERS,
-            "cases": len(cases),
-            "serial_wall_ms": round(serial_wall * 1e3, 3),
-            "parallel_wall_ms": round(pool_wall * 1e3, 3),
-            "speedup": round(speedup, 3),
-            "identical_outcomes": identical,
+            "under_provisioned": under_provisioned,
+            "repeats": SWEEP_REPEATS,
+            "preset": GATED_PRESET,
+            **{key: gated[key] for key in (
+                "cases", "serial_wall_ms", "parallel_wall_ms", "speedup",
+                "identical_outcomes",
+            )},
+            "ungated": small,
         },
     )

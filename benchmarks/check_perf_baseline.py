@@ -10,11 +10,14 @@ against ``benchmarks/results/perf_baseline.json``:
   structure is fully deterministic, so *any* growth in its rows or
   constraint nonzeros over the baseline is a regression and fails the
   check (exit 1).
-* ``short_parallel`` / ``sweep_parallel`` — measured pool speedups must
-  stay at or above ``parallel.min_speedup``.  Sections flagged
-  ``under_provisioned`` (host has fewer cores than the pool has workers)
-  are *skipped*: on a starved runner the number measures pool overhead,
-  not parallelism, and failing on it would just punish small CI boxes.
+* ``sweep_parallel`` — the sweep pool's measured speedup on its gated
+  preset must be above ``parallel.min_speedup``.  The section must exist
+  and must have been recorded on this host (its ``host`` block equals
+  ``host_fingerprint()`` of ``benchmarks/e2e/common.py``): a speedup
+  measured elsewhere says nothing about this host.  Only a section
+  flagged ``under_provisioned`` (host has fewer cores than the pool has
+  workers) skips the speedup check: there the number measures pool
+  overhead, not parallelism.
 
 Sizes the current run did not measure (e.g. under ``PERF_SMOKE=1``) are
 skipped.
@@ -23,8 +26,12 @@ skipped.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))  # a script dir
+from common import THREAD_ENV, host_fingerprint  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = Path(__file__).resolve().parent / "results" / "perf_baseline.json"
@@ -61,33 +68,42 @@ def check_lp_point_generation(sections, baseline, failures) -> int:
     return checked
 
 
+def this_host() -> dict:
+    """The ``host`` block a perf bench records on this host.  The benches
+    pin BLAS to one thread (``benchmarks/conftest.py``), and the block
+    records the thread variables, so pin them the same way first."""
+    for name, value in THREAD_ENV.items():
+        os.environ.setdefault(name, value)
+    return host_fingerprint()
+
+
 def check_parallel(sections, baseline, failures) -> None:
-    """Pool speedups, skipped wholesale on under-provisioned hosts."""
+    """The sweep pool's speedup, measured on this host."""
     gate = baseline.get("parallel")
     if gate is None:
         return
     floor = float(gate["min_speedup"])
-    for name in ("short_parallel", "sweep_parallel"):
-        section = sections.get(name)
-        if section is None:
-            print(f"{name}: section missing from BENCH_perf.json, skipped")
-            continue
-        if section.get("under_provisioned"):
-            print(f"{name}: host under-provisioned "
-                  f"(cpu_count={section.get('cpu_count')} < "
-                  f"workers={section.get('workers')}), speedup checks skipped")
-            continue
-        speedups = (
-            [(str(r["n"]), float(r["speedup"])) for r in section["sizes"]]
-            if "sizes" in section
-            else [("all", float(section["speedup"]))]
-        )
-        for label, speedup in speedups:
-            status = "ok" if speedup >= floor else "REGRESSION"
-            print(f"{name} n={label} speedup: measured {speedup} "
-                  f"vs floor {floor} [{status}]")
-            if speedup < floor:
-                failures.append((name, label, "speedup", speedup, floor))
+    name = "sweep_parallel"
+    section = sections.get(name)
+    if section is None:
+        print(f"{name}: section missing from BENCH_perf.json [MISSING]")
+        failures.append((name, "all", "section", None, "present"))
+        return
+    if section.get("host") != this_host():
+        print(f"{name}: recorded on another host ({section.get('host')}) [STALE]")
+        failures.append((name, "all", "host", section.get("host"), "this host"))
+        return
+    if section.get("under_provisioned"):
+        print(f"{name}: host under-provisioned "
+              f"(cpu_count={section.get('cpu_count')} < "
+              f"workers={section.get('workers')}), speedup check skipped")
+        return
+    speedup = float(section["speedup"])
+    status = "ok" if speedup > floor else "REGRESSION"
+    print(f"{name} preset={section.get('preset')} speedup: measured {speedup} "
+          f"vs floor {floor} [{status}]")
+    if speedup <= floor:
+        failures.append((name, section.get("preset"), "speedup", speedup, floor))
 
 
 def check_certify_overhead(sections, baseline, failures) -> None:
@@ -130,7 +146,7 @@ def main() -> int:
         print("error: no measured size overlaps the baseline")
         return 2
     if failures:
-        print(f"\nFAIL: {len(failures)} gated value(s) regressed past the baseline")
+        print(f"\nFAIL: {len(failures)} gated check(s) failed (regressed, missing or stale)")
         return 1
     print(f"\nOK: all gated values within baseline "
           f"({checked} {SECTION} size(s) checked)")

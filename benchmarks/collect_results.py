@@ -40,7 +40,6 @@ ORDER = [
     ("PERF", "perf_lp_point_generation"),
     ("PERF", "perf_scaling_long"),
     ("PERF", "perf_scaling_short"),
-    ("PERF", "perf_parallel_short"),
     ("PERF", "perf_parallel_sweep"),
     ("RES", "resilience_overhead"),
     ("CKPT", "checkpoint_overhead"),

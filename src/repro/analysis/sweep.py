@@ -218,14 +218,13 @@ def run_sweep(
     postopt: bool = True,
     *,
     workers: int | None = None,
-    mode: str = "auto",
 ) -> list[SweepOutcome]:
     """Solve every case; returns outcomes in input order.
 
     Each case is validated independently; an infeasible output surfaces as
     ``valid=False`` rather than an exception so sweeps complete.
 
-    With ``workers > 1`` the independent cases fan out over a worker pool
+    With ``workers > 1`` the independent cases fan out over a process pool
     (see :func:`repro.core.parallel.parallel_map`); outcomes are identical
     to the serial run apart from ``wall_seconds``, which is a per-case
     measurement either way.
@@ -233,7 +232,7 @@ def run_sweep(
     from ..core.parallel import parallel_map  # deferred: mirrors solve_ise
 
     tasks = [_CaseTask(case=case, config=config, postopt=postopt) for case in cases]
-    results = parallel_map(_solve_case, tasks, max_workers=workers, mode=mode)
+    results = parallel_map(_solve_case, tasks, max_workers=workers)
     return [outcome for outcome in results if isinstance(outcome, SweepOutcome)]
 
 
@@ -343,7 +342,6 @@ def run_sweep_report(
     postopt: bool = True,
     *,
     workers: int | None = None,
-    mode: str = "auto",
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
     max_shard_retries: int = 2,
@@ -383,7 +381,6 @@ def run_sweep_report(
                 encode=outcome_to_dict,
                 decode=outcome_from_dict,
                 max_workers=workers,
-                mode=mode,
             )
             report = _report_from_shards(shards, keys)
             report.journal_path = str(journal.path)
@@ -393,7 +390,6 @@ def run_sweep_report(
                 _solve_case,
                 tasks,
                 max_workers=workers,
-                mode=mode,
                 return_exceptions=True,
             )
             shards = []

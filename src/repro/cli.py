@@ -107,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--no-strict", action="store_true",
                        help="degrade through backend fallback chains instead "
                             "of failing; the result is flagged 'degraded'")
-    solve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="fan independent sub-solves out over N workers "
-                            "(output is identical to the serial run)")
     solve.add_argument("--verify", action="store_true",
                        help="certify the result before returning it: an "
                             "independent re-validation pass issues a "
@@ -150,8 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--preset", choices=["smoke", "standard", "large"],
                        help="run a named suite instead of a single family")
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="solve independent cases over N workers "
-                            "(outcomes are identical to the serial run)")
+                       help="solve independent cases over a pool of N "
+                            "processes (outcomes are identical to the serial "
+                            "run)")
     sweep.add_argument("--checkpoint-dir", metavar="DIR",
                        help="journal each case as it completes so a crashed "
                             "sweep can --resume instead of starting over")
@@ -295,7 +293,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         specialize_unit=args.specialize_unit,
         strict=not args.no_strict,
         timeout=args.timeout,
-        max_workers=args.workers,
         verify=args.verify,
     )
     result = solve_ise(instance, config)

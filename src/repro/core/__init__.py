@@ -11,7 +11,7 @@ Submodules:
 * :mod:`repro.core.tolerance` — float comparison policy.
 * :mod:`repro.core.errors` — exception hierarchy.
 * :mod:`repro.core.resilience` — solve budgets, fallback chains, reports.
-* :mod:`repro.core.parallel` — deterministic worker-pool execution.
+* :mod:`repro.core.parallel` — deterministic process pool for sweep cases.
 * :mod:`repro.core.atomicio` — atomic, checksummed artifact writes.
 * :mod:`repro.core.checkpoint` — resumable shard journals + recovery.
 * :mod:`repro.core.certify` — end-to-end solve certificates (verified mode).
@@ -59,7 +59,6 @@ from .errors import (
 )
 from .parallel import (
     ParallelFallbackWarning,
-    effective_workers,
     last_fallback_reason,
     parallel_map,
 )
@@ -153,6 +152,5 @@ __all__ = [
     "current_budget",
     "check_budget",
     "run_with_fallbacks",
-    "effective_workers",
     "parallel_map",
 ]

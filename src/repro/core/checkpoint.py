@@ -1,8 +1,8 @@
 """Checkpointed, resumable shard execution over an append-only journal.
 
-Long-horizon workloads (multi-hour sweeps, the Theorem 20 per-interval MM
-fan-out) must survive preemption: a SIGKILL mid-run may lose in-flight
-shards, never completed ones.  This module provides the two pieces:
+Long-horizon workloads (multi-hour sweeps) must survive preemption: a
+SIGKILL mid-run may lose in-flight shards, never completed ones.  This
+module provides the two pieces:
 
 * :class:`ShardJournal` — an append-only JSONL journal of per-shard
   ``done``/``failed`` records.  Every line embeds a SHA-256 checksum of its
@@ -456,7 +456,6 @@ class CheckpointedRun:
         encode: Callable[[ResultT], Any],
         decode: Callable[[Any], ResultT],
         max_workers: int | None = None,
-        mode: str = "auto",
     ) -> list[ShardOutcome]:
         """Run ``fn`` over ``items``, journaling each shard as it completes.
 
@@ -541,7 +540,6 @@ class CheckpointedRun:
                 fn,
                 round_items,
                 max_workers=max_workers,
-                mode=mode,
                 return_exceptions=True,
                 on_result=on_result,
             )

@@ -1,96 +1,70 @@
-"""Deterministic parallel execution for independent sub-solves.
+"""Deterministic process-pool execution for sweep cases.
 
-The paper's structure creates three natural fan-out sites: the per-interval
-MM black boxes of Section 4 (Lemma 16 makes the intervals independent by
-construction), the long/short halves of the ISE split (disjoint job sets),
-and sweep case loops (independent instances).  :func:`parallel_map` runs
-such work over a process or thread pool with a strict contract:
+Sweep cases are independent instances, so :func:`parallel_map` can fan
+them out over a process pool with a strict contract:
 
 * **Determinism.**  Results are collected in input order, and the serial
-  path is the reference semantics: for pure task functions every mode
+  path is the reference semantics: for pure task functions the pool
   returns exactly what ``[fn(x) for x in items]`` returns (the first
   exception, by input index, is re-raised unless ``return_exceptions``).
 * **Budget propagation.**  The ambient :class:`~repro.core.resilience
   .SolveBudget` is a context-local, which does not cross process
-  boundaries.  Process tasks therefore ship a
+  boundaries.  Each task therefore ships a
   :meth:`~repro.core.resilience.SolveBudget.subbudget` snapshot (the
-  remaining wall clock + stage timeouts) and re-enter it via
+  remaining wall clock + stage timeouts) and re-enters it via
   :func:`~repro.core.resilience.budget_scope` inside the worker, so
-  deadlines keep firing inside parallel solves.  Thread tasks run in a copy
-  of the dispatching context and share the parent budget object directly.
-* **Observable fallback.**  Anything that prevents pooled execution — one
-  worker requested, a single item, pool creation failing (sandboxes),
-  unpicklable tasks, a broken pool — degrades to the serial path rather
-  than erroring.  The degradation is *not* silent: a
-  :class:`ParallelFallbackWarning` is emitted and the reason is recorded on
-  the :func:`last_fallback_reason` hook so chaos tests and resilience
-  reports can assert on it.
+  deadlines keep firing inside pooled solves.
+* **Observable fallback.**  Anything that prevents pooled execution — pool
+  creation failing (sandboxes), unpicklable tasks, a broken pool —
+  degrades to the serial path rather than erroring.  The degradation is
+  *not* silent: a :class:`ParallelFallbackWarning` is emitted and the
+  reason is recorded on the :func:`last_fallback_reason` hook so chaos
+  tests and sweep reports can assert on it.
 * **Incremental observation.**  ``on_result`` is invoked once per input
   index, in input order, as results become available — the hook the
   checkpoint layer (:mod:`repro.core.checkpoint`) uses to journal each
   shard as it completes rather than only after the whole batch returns.
-* **No nested process pools.**  A process worker that itself reaches a
-  ``parallel_map`` call site (e.g. a sweep case solving its short-window
-  intervals) runs it serially; threads may still fan out to processes.
 """
 
 from __future__ import annotations
 
-import contextvars
 import pickle
 import threading
 import warnings
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from .resilience import SolveBudget, budget_scope, current_budget
 
 __all__ = [
-    "MODES",
     "ParallelFallbackWarning",
-    "effective_workers",
     "last_fallback_reason",
     "parallel_map",
-    "resolve_mode",
 ]
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
-
-MODES = ("auto", "serial", "thread", "process")
 
 
 class ParallelFallbackWarning(RuntimeWarning):
     """A worker pool could not be used and execution degraded to serial."""
 
 
-#: Set to True inside process-pool workers (via the pool initializer) so a
-#: nested ``parallel_map`` reached from worker code degrades to serial
-#: instead of forking pools from pools.
-_IN_WORKER = False
-
 #: Why the most recent :func:`parallel_map` call that *attempted* pooled
 #: execution fell back to the serial path, or None when it did not.
-#: Guarded by :data:`_FALLBACK_LOCK` — thread-mode workers that recurse
-#: into ``parallel_map`` write it concurrently with the dispatching thread.
+#: Guarded by :data:`_FALLBACK_LOCK`: sweeps may be driven from several
+#: threads of one process (the solve service, tests).
 _LAST_FALLBACK_REASON: str | None = None
 _FALLBACK_LOCK = threading.Lock()
-
-
-def _mark_worker() -> None:
-    # Runs once per pool worker *process* via the executor initializer;
-    # the flag is process-local state, never shared across threads.
-    global _IN_WORKER
-    _IN_WORKER = True  # repro-lint: disable=ISE102
 
 
 def last_fallback_reason() -> str | None:
     """Reason the last pool-attempting :func:`parallel_map` went serial.
 
     None when the last pooled call genuinely ran on a pool.  Calls that
-    never attempt a pool (``mode="serial"``, one worker, one item) leave
-    the hook untouched.  Chaos tests and sweep reports read this instead of
-    pools being allowed to degrade invisibly.
+    never attempt a pool (one worker, one item) leave the hook untouched.
+    Chaos tests and sweep reports read this instead of pools being allowed
+    to degrade invisibly.
     """
     with _FALLBACK_LOCK:
         return _LAST_FALLBACK_REASON
@@ -115,29 +89,6 @@ def _record_pool_fallback(error: BaseException) -> str:
         stacklevel=3,
     )
     return reason
-
-
-def resolve_mode(mode: str) -> str:
-    """Validate ``mode`` and resolve ``"auto"`` (to ``"process"``)."""
-    if mode not in MODES:
-        raise ValueError(f"unknown parallel mode {mode!r}; expected one of {MODES}")
-    return "process" if mode == "auto" else mode
-
-
-def effective_workers(
-    max_workers: int | None, num_items: int, mode: str = "auto"
-) -> int:
-    """Workers :func:`parallel_map` would actually use for this call."""
-    resolved = resolve_mode(mode)
-    if (
-        resolved == "serial"
-        or _IN_WORKER
-        or max_workers is None
-        or max_workers <= 1
-        or num_items <= 1
-    ):
-        return 1
-    return min(max_workers, num_items)
 
 
 def _run_with_budget(
@@ -177,14 +128,14 @@ def _serial_map(
 def _collect(
     futures: Sequence[Future[ResultT]],
     return_exceptions: bool,
-    on_result: Callable[[int, "ResultT | BaseException"], None] | None = None,
-    delivered: list[int] | None = None,
+    on_result: Callable[[int, "ResultT | BaseException"], None] | None,
+    delivered: list[int],
 ) -> list[ResultT | BaseException]:
     """Input-order collection matching serial exception semantics.
 
-    ``delivered`` (when given) is mutated to count how many input slots had
-    their ``on_result`` callback fired, so a serial rerun after a pool
-    failure can avoid double-notifying the prefix that already completed.
+    ``delivered`` is mutated to count how many input slots had their
+    ``on_result`` callback fired, so a serial rerun after a pool failure
+    can avoid double-notifying the prefix that already completed.
     """
     out: list[ResultT | BaseException] = []
     for index, future in enumerate(futures):
@@ -197,8 +148,7 @@ def _collect(
         out.append(value)
         if on_result is not None:
             on_result(index, value)
-        if delivered is not None:
-            delivered[0] = index + 1
+        delivered[0] = index + 1
     return out
 
 
@@ -207,55 +157,40 @@ def parallel_map(
     items: Sequence[ItemT],
     *,
     max_workers: int | None = None,
-    mode: str = "auto",
     return_exceptions: bool = False,
     on_result: Callable[[int, "ResultT | BaseException"], None] | None = None,
 ) -> list[ResultT | BaseException]:
     """Map ``fn`` over ``items`` with ordered, deterministic collection.
 
-    ``max_workers=None`` or ``<= 1`` runs serially.  ``mode`` is one of
-    ``"auto"`` (process), ``"serial"``, ``"thread"``, or ``"process"``.
-    With ``return_exceptions=True`` task exceptions are returned in their
-    slot instead of raised; otherwise the first failing input index raises,
-    exactly as the serial loop would.  ``on_result(index, value)`` is
-    invoked once per input index, in input order, as soon as that slot's
-    result (or, under ``return_exceptions``, exception) is available —
-    never twice for one index, even across a pool-failure rerun.
+    ``max_workers > 1`` runs the map on a process pool of at most that
+    many workers (never more than there are items); ``None``, ``<= 1`` or
+    a single item runs serially.  With ``return_exceptions=True`` task
+    exceptions are returned in their slot instead of raised; otherwise the
+    first failing input index raises, exactly as the serial loop would.
+    ``on_result(index, value)`` is invoked once per input index, in input
+    order, as soon as that slot's result (or, under ``return_exceptions``,
+    exception) is available — never twice for one index, even across a
+    pool-failure rerun.
 
-    Process mode requires ``fn`` and every item to be picklable (module-
-    level functions over frozen dataclasses); anything unpicklable, and any
+    The pool requires ``fn`` and every item to be picklable (module-level
+    functions over frozen dataclasses); anything unpicklable, and any
     pool-infrastructure failure, falls back to the serial path with a
     :class:`ParallelFallbackWarning` and a recorded
     :func:`last_fallback_reason`.  The ambient solve budget is propagated
     into workers (see module docstring), so stage timeouts keep firing
-    inside parallel solves.
+    inside pooled solves.
     """
     items = list(items)
-    workers = effective_workers(max_workers, len(items), mode)
-    resolved = resolve_mode(mode)
-    if workers <= 1 or resolved == "serial":
+    if max_workers is None or max_workers <= 1 or len(items) <= 1:
         return _serial_map(fn, items, return_exceptions, on_result)
     _clear_pool_fallback()
-
-    if resolved == "thread":
-        # Each task runs in a copy of the dispatching context: ambient
-        # budget/policy context-locals are visible, and the budget object
-        # (whose clock may be a deterministic fake) is genuinely shared.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(contextvars.copy_context().run, fn, item)
-                for item in items
-            ]
-            return _collect(futures, return_exceptions, on_result)
 
     budget = current_budget()
     snapshot = budget.subbudget() if budget is not None else None
     payloads = [(fn, item, snapshot) for item in items]
     delivered = [0]
     try:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_mark_worker
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(items))) as pool:
             futures = [pool.submit(_run_with_budget, payload) for payload in payloads]
             return _collect(futures, return_exceptions, on_result, delivered)
     except (BrokenExecutor, OSError, pickle.PicklingError, TypeError, AttributeError) as exc:

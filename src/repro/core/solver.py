@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from typing import Callable, TypeVar, cast
+from typing import Callable, TypeVar
 
 from ..analysis.lower_bounds import (
     LowerBoundBreakdown,
@@ -48,7 +48,6 @@ from .errors import (
     SolverError,
 )
 from .job import LONG_WINDOW_FACTOR, Instance
-from .parallel import parallel_map
 from .partition import JobPartition, partition_jobs
 from .resilience import (
     ResiliencePolicy,
@@ -65,25 +64,6 @@ __all__ = ["ISEConfig", "ISEResult", "solve_ise", "ISESolver"]
 
 
 _HalfT = TypeVar("_HalfT", LongWindowResult, ShortWindowResult)
-
-# A half-solve's result *or* exception, plus its elapsed seconds.
-_Outcome = tuple[_HalfT | BaseException, float]
-
-
-def _timed_outcome(
-    solve: Callable[[Instance], _HalfT], half_instance: Instance
-) -> _Outcome[_HalfT]:
-    """Run ``solve(half_instance)``, capturing its result *or* exception.
-
-    Never raises, which lets two half-solves run concurrently and have their
-    outcomes absorbed afterwards in a fixed order — errors surface with the
-    same precedence as the sequential path.
-    """
-    tic = time.perf_counter()
-    try:
-        return solve(half_instance), time.perf_counter() - tic
-    except Exception as exc:  # noqa: BLE001 — re-raised by the solver
-        return exc, time.perf_counter() - tic
 
 
 # The rescues import their baselines on first use: only degraded solves
@@ -144,15 +124,6 @@ class ISEConfig:
             Shorthand for a :class:`SolveBudget`-only resilience policy.
         resilience: full failure-handling policy; when set it overrides
             ``strict``/``timeout``.
-        max_workers: parallelism for the independent sub-solves — the
-            long/short halves run concurrently (thread mode: the halves
-            mostly release the GIL inside HiGHS/numpy) and the short side's
-            per-interval MM solves fan out over a worker pool.  None or 1
-            (the default) is fully serial; the parallel path is
-            output-identical to the serial one.
-        parallel_mode: worker pool kind for the per-interval MM fan-out —
-            ``"auto"``/``"process"``/``"thread"``/``"serial"`` (see
-            :mod:`repro.core.parallel`).
         verify: verified mode — issue a :class:`~repro.core.certify.
             SolveCertificate` for every result via an independent
             re-validation pass and attach it to ``ISEResult.certificate``.
@@ -174,8 +145,6 @@ class ISEConfig:
     strict: bool = True
     timeout: float | None = None
     resilience: ResiliencePolicy | None = None
-    max_workers: int | None = None
-    parallel_mode: str = "auto"
     verify: bool = False
 
     def resilience_policy(self) -> ResiliencePolicy:
@@ -207,8 +176,6 @@ class ISEConfig:
             validate=self.validate,
             overlapping_calibrations=self.overlapping_calibrations,
             resilience=self.resilience_policy(),
-            max_workers=self.max_workers,
-            parallel_mode=self.parallel_mode,
         )
 
 
@@ -413,103 +380,60 @@ class ISESolver:
         degrade_ok = not policy.strict and policy.pipeline_fallback
 
         def absorb(
-            half: _Half, outcome: _Outcome[_HalfT], half_instance: Instance
+            half: _Half, solve: Callable[[Instance], _HalfT], half_instance: Instance
         ) -> tuple[_HalfT | None, Schedule]:
-            """Keep one half's result, or re-raise its error, or degrade.
+            """Solve one half and keep its result, or re-raise, or degrade.
 
             An instance error always re-raises; any other error re-raises
             in strict mode and degrades to ``half.rescue`` otherwise.  The
             pipeline's own stage times are copied under a ``"<side>."``
             prefix, so no key is ever summed.
             """
-            value, elapsed = outcome
             tic = time.perf_counter()
             result: _HalfT | None = None
-            if isinstance(value, BaseException):
-                if isinstance(value, (InfeasibleInstanceError, InvalidInstanceError)):
-                    raise value  # the instance is at fault; degrading cannot help
+            try:
+                result = solve(half_instance)
+            except (InfeasibleInstanceError, InvalidInstanceError):
+                raise  # the instance is at fault; degrading cannot help
+            except Exception as exc:
                 if not degrade_ok:
-                    if isinstance(value, ReproError):
-                        raise value
+                    if isinstance(exc, ReproError):
+                        raise
                     raise SolverError(
-                        f"{half.side}-window pipeline crashed: {value}",
+                        f"{half.side}-window pipeline crashed: {exc}",
                         stage=f"{half.side}_pipeline",
-                    ) from value
-                schedule = self._degrade(report, half, half_instance, value, elapsed)
+                    ) from exc
+                schedule = self._degrade(
+                    report, half, half_instance, exc, time.perf_counter() - tic
+                )
             else:
-                result, schedule = value, value.schedule
-                report.merge(value.resilience)
-                for key, seconds in value.wall_times.items():
+                schedule = result.schedule
+                report.merge(result.resilience)
+                for key, seconds in result.wall_times.items():
                     times[f"{half.side}.{key}"] = seconds
-            times[half.side] = elapsed + (time.perf_counter() - tic)
+            times[half.side] = time.perf_counter() - tic
             return result, schedule
 
         long_result: LongWindowResult | None = None
         short_result: ShortWindowResult | None = None
         long_schedule = short_schedule = empty_schedule(T)
-        parallel_halves = (
-            cfg.max_workers is not None
-            and cfg.max_workers > 1
-            and cfg.parallel_mode != "serial"
-            and bool(split.long_jobs)
-            and bool(split.short_jobs)
-        )
 
         with ExitStack() as stack:
             budget = policy.fresh_budget()
             if budget is not None:
                 stack.enter_context(budget_scope(budget))
-
-            long_instance: Instance | None = (
-                instance.restricted_to(split.long_jobs) if split.long_jobs else None
-            )
-            short_instance: Instance | None = (
-                instance.restricted_to(split.short_jobs) if split.short_jobs else None
-            )
-            long_solve = LongWindowSolver(cfg.long_config()).solve
-            short_solve = ShortWindowSolver(cfg.short_config()).solve
-
-            if (
-                parallel_halves
-                and long_instance is not None
-                and short_instance is not None
-            ):
-                # The halves solve disjoint job sets on disjoint machines, so
-                # they can run concurrently.  Thread mode keeps the ambient
-                # budget (and any deterministic test clock) genuinely shared;
-                # the short side may still fan its MM solves out to a process
-                # pool of its own.  _timed_outcome never raises, so both
-                # outcomes always materialize; they are then absorbed in the
-                # same (long, short) order as the serial path, preserving
-                # error precedence and report ordering exactly.
-                li, si = long_instance, short_instance
-                outcomes = parallel_map(
-                    lambda side: (
-                        _timed_outcome(long_solve, li)
-                        if side == "long"
-                        else _timed_outcome(short_solve, si)
-                    ),
-                    ["long", "short"],
-                    max_workers=2,
-                    mode="thread",
-                )
+            if split.long_jobs:
                 long_result, long_schedule = absorb(
-                    _LONG, cast("_Outcome[LongWindowResult]", outcomes[0]), li
+                    _LONG,
+                    LongWindowSolver(cfg.long_config()).solve,
+                    instance.restricted_to(split.long_jobs),
                 )
+            if split.short_jobs:
                 short_result, short_schedule = absorb(
-                    _SHORT, cast("_Outcome[ShortWindowResult]", outcomes[1]), si
+                    _SHORT,
+                    ShortWindowSolver(cfg.short_config()).solve,
+                    instance.restricted_to(split.short_jobs),
                 )
-            else:
-                if long_instance is not None:
-                    long_result, long_schedule = absorb(
-                        _LONG, _timed_outcome(long_solve, long_instance), long_instance
-                    )
-                if short_instance is not None:
-                    short_result, short_schedule = absorb(
-                        _SHORT,
-                        _timed_outcome(short_solve, short_instance),
-                        short_instance,
-                    )
 
         merged = long_schedule.merged_with(short_schedule).compact_machines()
         if cfg.validate:

@@ -10,14 +10,10 @@ Usage::
     repro-lint --format sarif --flow …    # SARIF 2.1.0 for code scanning
     repro-lint --select ISE001,ISE104 …   # run a subset of rules
     repro-lint --show-suppressed …        # audit what disable= comments hide
-    repro-lint --flow --update-baseline … # grandfather current findings
     repro-lint --list-rules               # print the rule table
 
 Exit codes: 0 clean, 1 findings, 2 usage error (unknown rule / no files).
-
-Findings listed in the baseline file (``.repro-lint-baseline.json`` by
-default, ``--baseline`` to override) are reported separately and do not
-fail the run — the committed-baseline workflow for grandfathered debt.
+Every finding that is not suppressed in-source fails the run.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .flow.baseline import Baseline
 from .flow.registry import FLOW_RULES, iter_flow_rules
 from .flow.runner import analyze_package, find_package_root
 from .flow.sarif import to_sarif_json
@@ -35,9 +30,6 @@ from .rules import ALL_RULES, iter_rules
 from .runner import LintReport, LintRunner
 
 __all__ = ["main", "build_parser"]
-
-#: Default committed-baseline location (repo root, next to pyproject.toml).
-DEFAULT_BASELINE = ".repro-lint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,20 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-suppressed",
         action="store_true",
         help="also print findings silenced by # repro-lint: disable= comments",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept all current findings and exit 0",
     )
     parser.add_argument(
         "--cache-dir",
@@ -239,26 +217,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             report.diagnostics.extend(diags)
             report.suppressed.extend(suppressed)
         report.rules_run = tuple([*report.rules_run, *sorted(flow_codes)])
-
-    baseline_path = (
-        Path(options.baseline)
-        if options.baseline is not None
-        else Path(DEFAULT_BASELINE)
-    )
-    if options.update_baseline:
-        Baseline.write(baseline_path, report.diagnostics)
-        print(
-            f"repro-lint: baseline updated: {len(report.diagnostics)} "
-            f"finding(s) written to {baseline_path}"
-        )
-        return 0
-    if options.baseline is not None or baseline_path.is_file():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
-        report.diagnostics, report.baselined = baseline.split(report.diagnostics)
 
     if options.format == "json":
         print(report.to_json(show_suppressed=options.show_suppressed))

@@ -19,7 +19,6 @@ Everything here is stdlib-only and — like the rest of ``devtools`` —
 imports nothing from the solver stack it analyzes.
 """
 
-from .baseline import Baseline
 from .cache import GraphCache, default_cache_dir
 from .config import FlowConfig, FlowConfigError, LayerSpec
 from .graph import ProgramGraph, build_graph
@@ -30,7 +29,6 @@ from .summary import ModuleSummary, summarize_module
 
 __all__ = [
     "FLOW_RULES",
-    "Baseline",
     "FlowConfig",
     "FlowConfigError",
     "FlowResult",

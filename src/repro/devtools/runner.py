@@ -34,13 +34,11 @@ class LintReport:
     ``suppressed`` holds the findings silenced by in-source
     ``# repro-lint: disable=`` comments — normally hidden, surfaced by the
     ``--show-suppressed`` audit flag (and carried into SARIF as
-    in-source suppressions).  ``baselined`` holds findings matched by a
-    committed baseline file; neither affects :attr:`ok`.
+    in-source suppressions); they do not affect :attr:`ok`.
     """
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
     suppressed: list[Diagnostic] = field(default_factory=list)
-    baselined: list[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
     rules_run: tuple[str, ...] = ()
 
@@ -66,12 +64,7 @@ class LintReport:
             if counts
             else "clean"
         )
-        extras = []
-        if self.suppressed:
-            extras.append(f"{len(self.suppressed)} suppressed")
-        if self.baselined:
-            extras.append(f"{len(self.baselined)} baselined")
-        extra_note = f" ({', '.join(extras)})" if extras else ""
+        extra_note = f" ({len(self.suppressed)} suppressed)" if self.suppressed else ""
         lines.append(
             f"repro-lint: {len(self.diagnostics)} finding(s) in "
             f"{self.files_checked} file(s) [{tail}]{extra_note}"
@@ -86,7 +79,6 @@ class LintReport:
             "counts": self.counts_by_code(),
             "diagnostics": [d.to_dict() for d in sorted(self.diagnostics)],
             "suppressed_count": len(self.suppressed),
-            "baselined_count": len(self.baselined),
         }
         if show_suppressed:
             payload["suppressed"] = [d.to_dict() for d in sorted(self.suppressed)]

@@ -25,7 +25,6 @@ from typing import Callable
 
 from ..core.errors import InvalidInstanceError
 from ..core.job import Instance, Job
-from ..core.parallel import effective_workers, parallel_map, resolve_mode
 from ..core.resilience import (
     DEFAULT_MM_CHAIN,
     FallbackGate,
@@ -43,7 +42,7 @@ from ..mm.base import MMAlgorithm, MMSchedule, check_mm
 from ..mm.preemptive_bound import preemptive_machine_lower_bound
 from ..mm.registry import get_mm_algorithm, resolve_mm_chain
 from .intervals import partition_short_jobs
-from .transform import IntervalTransformResult, interval_mm_to_ise
+from .transform import interval_mm_to_ise
 
 __all__ = ["ShortWindowConfig", "IntervalReport", "ShortWindowResult", "ShortWindowSolver"]
 
@@ -65,37 +64,19 @@ def _with_time_cap(algorithm: MMAlgorithm, cap: float | None) -> MMAlgorithm:
         return algorithm
 
 
-@dataclass(frozen=True)
-class _BucketTask:
-    """One interval's MM solve, self-contained and picklable.
+def _solve_bucket_mm(
+    jobs: tuple[Job, ...],
+    speed: float,
+    chain: list[tuple[str, "str | MMAlgorithm"]],
+    retry: RetryPolicy,
+    gate: FallbackGate | None,
+) -> tuple[MMSchedule, ResilienceReport]:
+    """Run one bucket's MM fallback chain; returns (schedule, report).
 
-    Everything a worker needs travels in the task: the bucket's jobs, the
-    resolved fallback chain (names or algorithm instances — both pickle),
-    and the retry policy.  The ambient solve budget does NOT travel here;
-    :func:`~repro.core.parallel.parallel_map` snapshots and re-enters it in
-    the worker, so :func:`_solve_bucket_mm` just reads ``current_budget()``
-    exactly like the serial path.
-
-    The optional ``gate`` (a circuit-breaker board) is in-process-only
-    state: it is set only for serial/thread execution.
+    Each bucket gets its own :class:`ResilienceReport`, which the caller
+    merges in bucket order.  Called by its module-level name once per
+    bucket, so a tracer can wrap the whole per-bucket MM solve.
     """
-
-    jobs: tuple[Job, ...]
-    speed: float
-    chain: tuple[tuple[str, "str | MMAlgorithm"], ...]
-    retry: RetryPolicy
-    gate: FallbackGate | None = None
-
-
-def _solve_bucket_mm(task: _BucketTask) -> tuple[MMSchedule, ResilienceReport, float]:
-    """Run one bucket's MM fallback chain; returns (schedule, report, seconds).
-
-    Module-level (not a closure) so process pools can pickle it.  Each
-    bucket gets its own :class:`ResilienceReport`; the caller merges them in
-    bucket order, which makes the merged attempt log identical to the
-    serial loop's.
-    """
-    tic = time.perf_counter()
     report = ResilienceReport()
     budget = current_budget()
 
@@ -107,20 +88,20 @@ def _solve_bucket_mm(task: _BucketTask) -> tuple[MMSchedule, ResilienceReport, f
                 remaining = budget.stage_limit("mm")
                 if remaining != float("inf"):
                     cap = max(remaining, 0.0)
-            return _with_time_cap(algorithm, cap).solve(task.jobs, speed=task.speed)
+            return _with_time_cap(algorithm, cap).solve(jobs, speed=speed)
 
         return run
 
     schedule = run_with_fallbacks(
         "mm",
-        [(name, mm_thunk(spec)) for name, spec in task.chain],
+        [(name, mm_thunk(spec)) for name, spec in chain],
         report=report,
-        retry=task.retry,
+        retry=retry,
         budget=budget,
-        validate=lambda s: check_mm(task.jobs, s, context="short-window MM output"),
-        gate=task.gate,
+        validate=lambda s: check_mm(jobs, s, context="short-window MM output"),
+        gate=gate,
     )
-    return schedule, report, time.perf_counter() - tic
+    return schedule, report
 
 
 @dataclass(frozen=True)
@@ -139,11 +120,6 @@ class ShortWindowConfig:
             interval), only their dedicated calibrations.
         resilience: failure-handling policy; None means strict (failures
             propagate, no MM fallback chain).
-        max_workers: fan the independent per-interval MM solves (Lemma 16)
-            out over this many workers; None or 1 solves serially.  The
-            parallel path is output-identical to the serial one.
-        parallel_mode: ``"auto"`` (process pool), ``"thread"``,
-            ``"process"``, or ``"serial"`` — see :mod:`repro.core.parallel`.
     """
 
     mm_algorithm: str | MMAlgorithm = "best_greedy"
@@ -153,8 +129,6 @@ class ShortWindowConfig:
     validate: bool = True
     overlapping_calibrations: bool = False
     resilience: ResiliencePolicy | None = None
-    max_workers: int | None = None
-    parallel_mode: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -183,7 +157,6 @@ class ShortWindowResult:
     gamma: float
     wall_times: dict[str, float] = field(default_factory=dict, compare=False)
     resilience: ResilienceReport | None = field(default=None, compare=False)
-    workers_used: int = field(default=1, compare=False)
 
     @property
     def num_calibrations(self) -> int:
@@ -256,51 +229,19 @@ class ShortWindowSolver:
         pools = [0, 0]
         pass_calibrations: list[list[Calibration]] = [[], []]
         pass_placements: list[list[ScheduledJob]] = [[], []]
-        lift_time = 0.0
-        workers_used = effective_workers(
-            cfg.max_workers, len(partition.buckets), cfg.parallel_mode
-        )
-        # A gate (circuit-breaker board) holds locks and lives in this
-        # process; it rides along only when the buckets run here (serial)
-        # or in threads.  A process pool would pickle a dead copy whose
-        # trips never propagate back, so the gate is dropped — visibly.
-        gate = policy.gate
-        if gate is not None and workers_used > 1 and (
-            resolve_mode(cfg.parallel_mode) == "process"
-        ):
-            gate = None
-            report.record_note(
-                "fallback gate not applied to process-pool MM solves "
-                "(breaker state does not cross process boundaries)"
-            )
-        tasks = [
-            _BucketTask(
-                jobs=bucket.jobs,
-                speed=cfg.speed,
-                chain=tuple(chain),
-                retry=policy.retry,
-                gate=gate,
-            )
-            for bucket in partition.buckets
-        ]
+        lift_time = bound_time = 0.0
         with ExitStack() as stack:
-            budget = current_budget()
-            if budget is None and policy.budget is not None:
-                budget = stack.enter_context(budget_scope(policy.fresh_budget()))
+            if current_budget() is None and policy.budget is not None:
+                stack.enter_context(budget_scope(policy.fresh_budget()))
             tic = time.perf_counter()
-            outcomes = parallel_map(
-                _solve_bucket_mm,
-                tasks,
-                max_workers=cfg.max_workers,
-                mode=cfg.parallel_mode,
-            )
-            mm_wall = time.perf_counter() - tic
             mm_schedules: list[MMSchedule] = []
-            mm_cpu = 0.0
-            for mm_schedule, bucket_report, bucket_elapsed in outcomes:
+            for bucket in partition.buckets:
+                mm_schedule, bucket_report = _solve_bucket_mm(
+                    bucket.jobs, cfg.speed, chain, policy.retry, policy.gate
+                )
                 report.merge(bucket_report)
                 mm_schedules.append(mm_schedule)
-                mm_cpu += bucket_elapsed
+            times["mm"] = time.perf_counter() - tic
 
         for bucket, mm_schedule in zip(partition.buckets, mm_schedules):
             tic = time.perf_counter()
@@ -313,6 +254,9 @@ class ShortWindowSolver:
                 overlapping=cfg.overlapping_calibrations,
             )
             lift_time += time.perf_counter() - tic
+            tic = time.perf_counter()
+            mm_lower_bound = preemptive_machine_lower_bound(bucket.jobs, cfg.speed)
+            bound_time += time.perf_counter() - tic
 
             reports.append(
                 IntervalReport(
@@ -323,9 +267,7 @@ class ShortWindowSolver:
                     mm_machines=lifted.mm_machines,
                     crossing_jobs=lifted.crossing_jobs,
                     calibrations=lifted.total_calibrations,
-                    mm_lower_bound=preemptive_machine_lower_bound(
-                        bucket.jobs, cfg.speed
-                    ),
+                    mm_lower_bound=mm_lower_bound,
                 )
             )
             # Union within the pass: the interval schedule's machine indices
@@ -335,11 +277,9 @@ class ShortWindowSolver:
             pools[k] = max(pools[k], lifted.schedule.num_machines)
             pass_calibrations[k].extend(lifted.schedule.calibrations)
             pass_placements[k].extend(lifted.schedule.placements)
-        times["mm"] = mm_wall
-        # Summed per-bucket solve time: with workers > 1 this exceeds the
-        # "mm" wall time, and their ratio is the realized MM speedup.
-        times["mm_cpu"] = mm_cpu
         times["lift"] = lift_time
+        # Lemma 18's preemptive-flow bound, one max-flow search per bucket.
+        times["lower_bound"] = bound_time
 
         pass0, pass1 = (
             Schedule(
@@ -382,5 +322,4 @@ class ShortWindowSolver:
             gamma=cfg.gamma,
             wall_times=times,
             resilience=report,
-            workers_used=workers_used,
         )

@@ -171,7 +171,7 @@ class TestCheckpointedRun:
         run = CheckpointedRun(journal=journal, fingerprint="fp")
         outcomes = run.map(
             _double, [1, 2, 3], ["a", "b", "c"],
-            encode=_identity, decode=_identity, mode="serial",
+            encode=_identity, decode=_identity,
         )
         assert [o.value for o in outcomes] == [2, 4, 6]
         assert all(o.status == "done" for o in outcomes)
@@ -181,7 +181,7 @@ class TestCheckpointedRun:
         journal = ShardJournal(tmp_path / "run.jsonl")
         CheckpointedRun(journal=journal, fingerprint="fp").map(
             _double, [1, 2], ["a", "b"],
-            encode=_identity, decode=_identity, mode="serial",
+            encode=_identity, decode=_identity,
         )
         calls: list[int] = []
 
@@ -193,7 +193,7 @@ class TestCheckpointedRun:
             journal=journal, fingerprint="fp", resume=True
         ).map(
             tracked, [1, 2, 3], ["a", "b", "c"],
-            encode=_identity, decode=_identity, mode="serial",
+            encode=_identity, decode=_identity,
         )
         assert calls == [3]  # only the un-journaled shard re-solved
         assert [o.status for o in outcomes] == ["restored", "restored", "done"]
@@ -205,7 +205,7 @@ class TestCheckpointedRun:
         with pytest.raises(InvalidArtifactError):
             CheckpointedRun(journal=journal, fingerprint="fp").map(
                 _double, [1], ["a"],
-                encode=_identity, decode=_identity, mode="serial",
+                encode=_identity, decode=_identity,
             )
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
@@ -216,7 +216,7 @@ class TestCheckpointedRun:
                 journal=journal, fingerprint="fp", resume=True
             ).map(
                 _double, [1], ["a"],
-                encode=_identity, decode=_identity, mode="serial",
+                encode=_identity, decode=_identity,
             )
 
     def test_resume_with_no_journal_is_a_fresh_run(self, tmp_path):
@@ -225,7 +225,7 @@ class TestCheckpointedRun:
             journal=journal, fingerprint="fp", resume=True
         ).map(
             _double, [5], ["a"],
-            encode=_identity, decode=_identity, mode="serial",
+            encode=_identity, decode=_identity,
         )
         assert outcomes[0].value == 10
 
@@ -240,7 +240,7 @@ class TestCheckpointedRun:
             journal=journal, fingerprint="fp", max_shard_retries=3
         ).map(
             sometimes, [1, 2, 3], ["a", "b", "c"],
-            encode=_identity, decode=_identity, mode="serial",
+            encode=_identity, decode=_identity,
         )
         bad = outcomes[1]
         assert bad.status == "failed"
@@ -261,7 +261,7 @@ class TestCheckpointedRun:
         journal = ShardJournal(tmp_path / "run.jsonl")
         outcomes = CheckpointedRun(journal=journal, fingerprint="fp").map(
             expiring, [1, 3], ["a", "b"],
-            encode=_identity, decode=_identity, mode="serial",
+            encode=_identity, decode=_identity,
         )
         assert outcomes[1].status == "pending"
         # pending shards leave no record: a resume re-solves them
@@ -272,7 +272,7 @@ class TestCheckpointedRun:
         with pytest.raises(ValueError):
             CheckpointedRun(journal=journal, fingerprint="fp").map(
                 _double, [1, 2], ["a", "a"],
-                encode=_identity, decode=_identity, mode="serial",
+                encode=_identity, decode=_identity,
             )
 
 

@@ -1,23 +1,23 @@
-"""Tests for :mod:`repro.core.parallel` — the deterministic pool layer.
+"""Tests for :mod:`repro.core.parallel` — the deterministic sweep pool.
 
-The contract under test: every mode returns exactly what the serial loop
-would, in input order; budgets cross the process boundary as snapshots and
-keep firing; anything that prevents pooled execution degrades to serial
-rather than erroring.
+The contract under test: the process pool returns exactly what the serial
+loop would, in input order; budgets cross the process boundary as
+snapshots and keep firing; anything that prevents pooled execution
+degrades to serial rather than erroring.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+from repro.core import parallel
 from repro.core.errors import StageTimeoutError
 from repro.core.parallel import (
-    MODES,
     ParallelFallbackWarning,
-    effective_workers,
     last_fallback_reason,
     parallel_map,
-    resolve_mode,
 )
 from repro.core.resilience import (
     SolveBudget,
@@ -48,39 +48,37 @@ def _check_stage_budget(_: int) -> str:
     return "alive"
 
 
-def _nested_effective_workers(_: int) -> int:
-    return effective_workers(4, 4, "process")
-
-
-class TestResolveMode:
-    def test_auto_resolves_to_process(self):
-        assert resolve_mode("auto") == "process"
-
-    def test_explicit_modes_pass_through(self):
-        for mode in ("serial", "thread", "process"):
-            assert resolve_mode(mode) == mode
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown parallel mode"):
-            resolve_mode("gpu")
-
-    def test_modes_tuple_is_exhaustive(self):
-        assert MODES == ("auto", "serial", "thread", "process")
+#: Serial (None, 1) and pooled (4) settings of ``max_workers``.
+WORKER_SETTINGS = (None, 1, 4)
 
 
 class TestEffectiveWorkers:
-    def test_none_and_single_worker_are_serial(self):
-        assert effective_workers(None, 10) == 1
-        assert effective_workers(1, 10) == 1
+    """Which calls attempt a pool, and how large a pool they get."""
 
-    def test_single_item_is_serial(self):
-        assert effective_workers(8, 1) == 1
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch) -> list[int]:
+        sizes: list[int] = []
 
-    def test_capped_by_items(self):
-        assert effective_workers(8, 3) == 3
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers: int) -> None:
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
 
-    def test_serial_mode_forces_one(self):
-        assert effective_workers(8, 10, "serial") == 1
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_none_and_single_worker_are_serial(self, pool_sizes):
+        assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert parallel_map(_square, [1, 2, 3], max_workers=1) == [1, 4, 9]
+        assert pool_sizes == []
+
+    def test_single_item_is_serial(self, pool_sizes):
+        assert parallel_map(_square, [3], max_workers=8) == [9]
+        assert pool_sizes == []
+
+    def test_capped_by_items(self, pool_sizes):
+        assert parallel_map(_square, [1, 2, 3], max_workers=8) == [1, 4, 9]
+        assert pool_sizes == [3]
 
 
 class TestParallelMapModes:
@@ -88,43 +86,40 @@ class TestParallelMapModes:
 
     def test_every_mode_matches_serial(self):
         expected = [_square(x) for x in self.ITEMS]
-        for mode in MODES:
-            got = parallel_map(_square, self.ITEMS, max_workers=4, mode=mode)
-            assert got == expected, mode
+        for workers in WORKER_SETTINGS:
+            got = parallel_map(_square, self.ITEMS, max_workers=workers)
+            assert got == expected, workers
 
     def test_order_is_input_order(self):
         # Descending inputs: any completion-order collection would shuffle.
         items = list(range(20, 0, -1))
-        got = parallel_map(_square, items, max_workers=4, mode="process")
+        got = parallel_map(_square, items, max_workers=4)
         assert got == [x * x for x in items]
 
     def test_empty_items(self):
         assert parallel_map(_square, [], max_workers=4) == []
 
     def test_first_exception_by_input_index_raises(self):
-        for mode in MODES:
+        for workers in WORKER_SETTINGS:
             with pytest.raises(ValueError, match="three is right out"):
-                parallel_map(
-                    _raise_on_three, [3, 1, 2], max_workers=4, mode=mode
-                )
+                parallel_map(_raise_on_three, [3, 1, 2], max_workers=workers)
 
     def test_return_exceptions_collects_in_slot(self):
-        for mode in MODES:
+        for workers in WORKER_SETTINGS:
             got = parallel_map(
                 _raise_on_three,
                 [1, 3, 5],
-                max_workers=4,
-                mode=mode,
+                max_workers=workers,
                 return_exceptions=True,
             )
-            assert got[0] == 1 and got[2] == 5, mode
-            assert isinstance(got[1], ValueError), mode
+            assert got[0] == 1 and got[2] == 5, workers
+            assert isinstance(got[1], ValueError), workers
 
     def test_unpicklable_fn_falls_back_to_serial(self):
         offset = 7
         with pytest.warns(ParallelFallbackWarning):
             got = parallel_map(
-                lambda x: x + offset, self.ITEMS, max_workers=4, mode="process"
+                lambda x: x + offset, self.ITEMS, max_workers=4
             )
         assert got == [x + offset for x in self.ITEMS]
 
@@ -135,7 +130,7 @@ class TestObservableFallback:
     def test_fallback_warns_and_records_reason(self):
         with pytest.warns(ParallelFallbackWarning, match="fell back to serial"):
             parallel_map(
-                lambda x: x, [1, 2, 3], max_workers=2, mode="process"
+                lambda x: x, [1, 2, 3], max_workers=2
             )
         reason = last_fallback_reason()
         assert reason is not None
@@ -143,16 +138,16 @@ class TestObservableFallback:
 
     def test_healthy_pool_clears_reason(self):
         with pytest.warns(ParallelFallbackWarning):
-            parallel_map(lambda x: x, [1, 2], max_workers=2, mode="process")
+            parallel_map(lambda x: x, [1, 2], max_workers=2)
         assert last_fallback_reason() is not None
-        parallel_map(_square, [1, 2], max_workers=2, mode="process")
+        parallel_map(_square, [1, 2], max_workers=2)
         assert last_fallback_reason() is None
 
     def test_serial_paths_do_not_touch_the_hook(self):
-        parallel_map(_square, [1, 2], max_workers=2, mode="process")
+        parallel_map(_square, [1, 2], max_workers=2)
         assert last_fallback_reason() is None
-        parallel_map(_square, [1, 2, 3], mode="serial")
-        parallel_map(_square, [1], max_workers=8, mode="process")
+        parallel_map(_square, [1, 2, 3])
+        parallel_map(_square, [1], max_workers=8)
         assert last_fallback_reason() is None
 
 
@@ -162,7 +157,7 @@ class TestOnResult:
     def test_serial_notifies_in_order(self):
         seen: list[tuple[int, int]] = []
         parallel_map(
-            _square, [3, 1, 2], mode="serial",
+            _square, [3, 1, 2],
             on_result=lambda i, v: seen.append((i, v)),
         )
         assert seen == [(0, 9), (1, 1), (2, 4)]
@@ -170,7 +165,7 @@ class TestOnResult:
     def test_process_notifies_in_order(self):
         seen: list[tuple[int, int]] = []
         parallel_map(
-            _square, [5, 4, 3, 2], max_workers=2, mode="process",
+            _square, [5, 4, 3, 2], max_workers=2,
             on_result=lambda i, v: seen.append((i, v)),
         )
         assert seen == [(0, 25), (1, 16), (2, 9), (3, 4)]
@@ -178,7 +173,7 @@ class TestOnResult:
     def test_exceptions_delivered_under_return_exceptions(self):
         seen: list[tuple[int, object]] = []
         parallel_map(
-            _raise_on_three, [1, 3], mode="serial", return_exceptions=True,
+            _raise_on_three, [1, 3], return_exceptions=True,
             on_result=lambda i, v: seen.append((i, v)),
         )
         assert seen[0] == (0, 1)
@@ -191,7 +186,7 @@ class TestOnResult:
         offset = 1
         with pytest.warns(ParallelFallbackWarning):
             parallel_map(
-                lambda x: x + offset, [1, 2, 3], max_workers=2, mode="process",
+                lambda x: x + offset, [1, 2, 3], max_workers=2,
                 on_result=lambda i, v: seen.append(i),
             )
         assert seen == [0, 1, 2]
@@ -201,7 +196,7 @@ class TestBudgetPropagation:
     def test_worker_sees_budget_snapshot(self):
         with budget_scope(SolveBudget(wall_clock=30.0)):
             walls = parallel_map(
-                _ambient_wall_clock, [0, 1], max_workers=2, mode="process"
+                _ambient_wall_clock, [0, 1], max_workers=2
             )
         for wall in walls:
             assert wall is not None
@@ -209,7 +204,7 @@ class TestBudgetPropagation:
 
     def test_no_budget_means_no_worker_budget(self):
         walls = parallel_map(
-            _ambient_wall_clock, [0, 1], max_workers=2, mode="process"
+            _ambient_wall_clock, [0, 1], max_workers=2
         )
         assert walls == [None, None]
 
@@ -217,22 +212,7 @@ class TestBudgetPropagation:
         with budget_scope(SolveBudget(wall_clock=0.0)):
             with pytest.raises(StageTimeoutError, match="worker_stage"):
                 parallel_map(
-                    _check_stage_budget, [0, 1], max_workers=2, mode="process"
-                )
-
-    def test_thread_mode_shares_deterministic_clock(self):
-        # The fake clock never advances on its own: expiry is driven purely
-        # by the explicit advance, so the thread-pool path is deterministic.
-        clock = FakeClock()
-        budget = SolveBudget(wall_clock=10.0, clock=clock)
-        with budget_scope(budget):
-            assert parallel_map(
-                _check_stage_budget, [0, 1], max_workers=2, mode="thread"
-            ) == ["alive", "alive"]
-            clock.advance(20.0)
-            with pytest.raises(StageTimeoutError, match="worker_stage"):
-                parallel_map(
-                    _check_stage_budget, [0, 1], max_workers=2, mode="thread"
+                    _check_stage_budget, [0, 1], max_workers=2
                 )
 
     def test_subbudget_drops_injected_clock(self):
@@ -255,13 +235,3 @@ class TestBudgetPropagation:
         sub = budget.subbudget().start()
         assert sub.expired
 
-
-class TestNestedPools:
-    def test_process_worker_degrades_nested_map_to_serial(self):
-        inner = parallel_map(
-            _nested_effective_workers, [0, 1], max_workers=2, mode="process"
-        )
-        assert inner == [1, 1]
-
-    def test_main_process_is_not_a_worker(self):
-        assert _nested_effective_workers(0) == 4

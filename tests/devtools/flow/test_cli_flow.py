@@ -100,27 +100,6 @@ def test_show_suppressed_surfaces_silenced_findings(capsys, tmp_path, monkeypatc
     assert "ISE100" in out and "[suppressed]" in out
 
 
-def test_baseline_update_then_grandfather(capsys, pkg: Path) -> None:
-    base = ["--flow", "--no-cache", "--select", "ISE100", str(pkg)]
-    assert main([*base, "--update-baseline", "--baseline", "grandfather.json"]) == 0
-    payload = json.loads(Path("grandfather.json").read_text(encoding="utf-8"))
-    assert payload["version"] == 1
-    assert len(payload["findings"]) == 1
-    # Baselined findings are reported separately and do not fail the run.
-    assert main([*base, "--baseline", "grandfather.json"]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-    # A fresh (non-baselined) finding still fails.
-    offender = pkg / "app" / "handlers.py"
-    offender.write_text(
-        offender.read_text(encoding="utf-8").replace(
-            '"""H."""', '"""H."""\n\nimport pkg.devtools_forbidden'
-        ),
-        encoding="utf-8",
-    )
-    assert main([*base, "--baseline", "grandfather.json"]) in (0, 1)
-
-
 def test_sarif_output_is_valid(capsys, pkg: Path) -> None:
     assert main(
         ["--flow", "--no-cache", "--select", "ISE100", "--format", "sarif", str(pkg)]

@@ -61,7 +61,7 @@ TREE = {
         "\n"
         "\n"
         "def fan_out(items):\n"
-        '    return parallel_map(work, items, mode="process")\n'
+        '    return parallel_map(work, items, max_workers=2)\n'
         "\n"
         "\n"
         "def fan_out_lambda(items):\n"

@@ -3,12 +3,11 @@
 Two guarantees from the issue's acceptance criteria:
 
 * ``src/repro`` itself is flow-clean — every ISE100+ finding was either
-  fixed or carries an in-source suppression, and nothing hides behind a
-  baseline entry.
+  fixed or carries an in-source suppression.
 * The analyzer actually *catches* the regressions it exists to prevent.
   Each injection test plants one realistic defect in a scratch copy of
   ``src/repro`` (a serve<-core back-import, a process pool forked inside
-  a pool worker, a dropped budget forward) and asserts exactly one
+  the sweep's pool worker, a dropped budget forward) and asserts exactly one
   finding of the expected code, carrying the offending chain.
 
 The copy is shared module-wide and analyzed through one shared cache
@@ -98,18 +97,18 @@ def test_injected_back_import_is_caught(inject) -> None:
 def test_injected_nested_process_pool_is_caught(inject) -> None:
     """A pool forked inside a pool worker is flagged with its dispatch chain."""
     result = inject(
-        "shortwindow/pipeline.py",
-        "    tic = time.perf_counter()\n    report = ResilienceReport()\n",
+        "analysis/sweep.py",
+        "    case = task.case\n    generated = case.generate()\n",
         "    from concurrent.futures import ProcessPoolExecutor\n"
         "\n"
         "    with ProcessPoolExecutor(max_workers=2) as inner:\n"
         "        inner.map(str, [])\n"
-        "    tic = time.perf_counter()\n    report = ResilienceReport()\n",
+        "    case = task.case\n    generated = case.generate()\n",
         code="ISE103",
     )
     (finding,) = result.diagnostics
     assert finding.code == "ISE103"
-    assert "repro.shortwindow.pipeline:_solve_bucket_mm" in finding.message
+    assert "repro.analysis.sweep:_solve_case" in finding.message
     assert "parallel_map" in finding.message
 
 
@@ -117,8 +116,8 @@ def test_injected_dropped_budget_is_caught(inject) -> None:
     """Omitting budget= on a budget-accepting callee is flagged at the call."""
     result = inject(
         "shortwindow/pipeline.py",
-        "        retry=task.retry,\n        budget=budget,\n",
-        "        retry=task.retry,\n",
+        "        retry=retry,\n        budget=budget,\n",
+        "        retry=retry,\n",
         code="ISE104",
     )
     (finding,) = result.diagnostics

@@ -1,71 +1,30 @@
-"""Serial-vs-parallel output identity for the solver and sweep layers.
+"""Serial-vs-pooled output identity for sweeps, and budgets in solves.
 
-The parallel execution paths (per-interval MM fan-out, concurrent
-long/short halves, sweep case pools) are pure optimizations: schedules,
-resilience reports, and sweep tables must be *byte-identical* to the
-serial run.  These tests pin that contract across seeds and modes, plus
-the regression that a solve budget keeps firing inside a parallel
-interval solve (the context-local does not silently vanish at the process
-boundary).
+The sweep case pool is a pure optimization: sweep tables must be
+*byte-identical* to the serial run.  These tests pin that contract across
+seeds, plus the regression that a solve budget keeps firing inside the
+short-window interval solves and across a sweep's journal.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.sweep import SweepCase, outcome_to_dict, run_sweep, run_sweep_report
+from repro.analysis.sweep import (
+    SweepCase,
+    case_key,
+    outcome_to_dict,
+    run_sweep,
+    run_sweep_report,
+)
 from repro.core.checkpoint import ShardJournal
 from repro.core.errors import StageTimeoutError
 from repro.core.resilience import ResiliencePolicy, SolveBudget
-from repro.core.solver import ISEConfig, solve_ise
-from repro.instances import mixed_instance, short_window_instance
+from repro.instances import short_window_instance
 from repro.shortwindow import ShortWindowConfig, ShortWindowSolver
 from repro.testing import FakeClock
 
 SEEDS = [0, 1, 2]
-
-
-class TestSolveIseIdentity:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_parallel_solve_matches_serial(self, seed):
-        instance = mixed_instance(20, 3, 2.0, seed=seed).instance
-        serial = solve_ise(instance, ISEConfig())
-        for mode in ("auto", "thread", "process"):
-            parallel = solve_ise(
-                instance, ISEConfig(max_workers=4, parallel_mode=mode)
-            )
-            assert parallel.schedule == serial.schedule, mode
-            assert parallel.num_calibrations == serial.num_calibrations, mode
-            assert parallel.machines_used == serial.machines_used, mode
-            assert parallel.lower_bound.best == serial.lower_bound.best, mode
-
-    def test_serial_mode_ignores_workers(self):
-        instance = mixed_instance(16, 2, 2.0, seed=7).instance
-        serial = solve_ise(instance, ISEConfig())
-        forced = solve_ise(
-            instance, ISEConfig(max_workers=8, parallel_mode="serial")
-        )
-        assert forced.schedule == serial.schedule
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_shortwindow_reports_match_serial(self, seed):
-        instance = short_window_instance(24, 2, 10.0, seed=seed).instance
-        serial = ShortWindowSolver(ShortWindowConfig()).solve(instance)
-        pooled = ShortWindowSolver(
-            ShortWindowConfig(max_workers=4)
-        ).solve(instance)
-        assert pooled.schedule == serial.schedule
-        assert pooled.intervals == serial.intervals
-        assert pooled.workers_used > 1
-        assert serial.workers_used == 1
-        # The merged resilience report replays the buckets in input order,
-        # so the attempt log is identical to the serial one.
-        assert [a.stage for a in pooled.resilience.attempts] == [
-            a.stage for a in serial.resilience.attempts
-        ]
-        assert [a.backend for a in pooled.resilience.attempts] == [
-            a.backend for a in serial.resilience.attempts
-        ]
 
 
 class TestSweepIdentity:
@@ -89,11 +48,8 @@ class TestSweepIdentity:
 
     def test_parallel_sweep_matches_serial(self):
         serial = run_sweep(self.CASES)
-        for mode in ("auto", "thread"):
-            pooled = run_sweep(self.CASES, workers=4, mode=mode)
-            assert [self._strip(o) for o in pooled] == [
-                self._strip(o) for o in serial
-            ], mode
+        pooled = run_sweep(self.CASES, workers=4)
+        assert [self._strip(o) for o in pooled] == [self._strip(o) for o in serial]
 
     def test_sweep_outcomes_in_input_order(self):
         pooled = run_sweep(self.CASES, workers=4)
@@ -101,19 +57,27 @@ class TestSweepIdentity:
 
 
 class TestBudgetAcrossWorkers:
-    """Regression: budgets are context-locals, which do not cross process
-    boundaries on their own — the pool layer must snapshot and re-enter
-    them, or a parallel solve would simply never time out."""
+    """Regression: a budget must reach every per-interval MM solve, also
+    inside a sweep's pool workers (a context-local does not cross the
+    process boundary on its own), or a solve would simply never time out."""
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_timeout_fires_inside_parallel_interval_solve(self, mode):
+    def test_timeout_fires_inside_parallel_interval_solve(self):
         instance = short_window_instance(12, 2, 10.0, seed=3).instance
         policy = ResiliencePolicy(budget=SolveBudget(wall_clock=0.0))
-        config = ShortWindowConfig(
-            resilience=policy, max_workers=2, parallel_mode=mode
-        )
+        config = ShortWindowConfig(resilience=policy)
         with pytest.raises(StageTimeoutError, match="budget of 0s exhausted"):
             ShortWindowSolver(config).solve(instance)
+
+    def test_timeout_fires_inside_pooled_sweep_case(self):
+        cases = [
+            SweepCase(family="short", n=12, machines=2, calibration_length=10.0, seed=s)
+            for s in range(2)
+        ]
+        report = run_sweep_report(
+            cases, workers=2, budget=SolveBudget(wall_clock=0.0)
+        )
+        assert report.pending == [case_key(case) for case in cases]
+        assert report.outcomes == [] and report.failed == []
 
 
 class TestBudgetExpiryDuringSweep:
@@ -135,7 +99,7 @@ class TestBudgetExpiryDuringSweep:
         return payload
 
     def test_expiry_mid_sweep_flushes_journal_and_resumes(self, tmp_path):
-        baseline = run_sweep_report(self.CASES, mode="serial")
+        baseline = run_sweep_report(self.CASES)
         assert baseline.ok
 
         # A fake clock that ticks per read: the budget genuinely expires
@@ -143,7 +107,6 @@ class TestBudgetExpiryDuringSweep:
         budget = SolveBudget(wall_clock=3.0, clock=FakeClock(step=0.5))
         interrupted = run_sweep_report(
             self.CASES,
-            mode="serial",
             checkpoint_dir=tmp_path,
             budget=budget,
         )
@@ -159,7 +122,7 @@ class TestBudgetExpiryDuringSweep:
         assert len(journal.load().done_payloads()) == interrupted.solved
 
         resumed = run_sweep_report(
-            self.CASES, mode="serial", checkpoint_dir=tmp_path, resume=True
+            self.CASES, checkpoint_dir=tmp_path, resume=True
         )
         assert resumed.ok
         assert resumed.restored == interrupted.solved

@@ -50,17 +50,16 @@ def test_pipeline_dicts_are_copied_once_under_their_prefix(verified) -> None:
     assert {"long", "short"} <= set(verified.wall_times)
 
 
+def test_short_side_names_every_stage(verified) -> None:
+    """The Lemma 18 bound is its own stage, next to the MM solve and lift."""
+    short = verified.short_result.wall_times
+    assert set(short) == {"partition", "mm", "lift", "lower_bound", "validate"}
+    assert verified.wall_times["short.lower_bound"] == short["lower_bound"] > 0.0
+
+
 def test_resilience_report_carries_no_timings(verified) -> None:
     assert "wall_times" not in verified.resilience.to_dict()
     assert not hasattr(ResilienceReport(), "wall_times")
-
-
-def test_parallel_halves_record_the_same_keys(instance, verified) -> None:
-    pooled = solve_ise(
-        instance,
-        ISEConfig(strict=False, verify=True, max_workers=2, parallel_mode="thread"),
-    )
-    assert set(pooled.wall_times) == set(verified.wall_times)
 
 
 def test_degraded_side_has_no_pipeline_keys(instance, monkeypatch) -> None:

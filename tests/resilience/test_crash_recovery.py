@@ -48,7 +48,7 @@ def _strip(outcome) -> dict:
 @pytest.fixture(scope="module")
 def baseline():
     """Outcomes of an uninterrupted serial sweep, as JSON dicts."""
-    report = run_sweep_report(CASES, mode="serial")
+    report = run_sweep_report(CASES)
     assert report.ok and len(report.outcomes) == N
     return [_strip(o) for o in report.outcomes]
 
@@ -74,7 +74,7 @@ def _crash_at_shard(checkpoint_dir, k: int) -> ShardJournal:
             [case_key(case) for case in CASES],
             encode=outcome_to_dict,
             decode=outcome_from_dict,
-            mode="serial",
+           
         )
     return journal
 
@@ -87,7 +87,7 @@ class TestKillAndResume:
         assert len(journal.load().done_payloads()) == k
 
         report = run_sweep_report(
-            CASES, mode="serial", checkpoint_dir=tmp_path, resume=True
+            CASES, checkpoint_dir=tmp_path, resume=True
         )
         assert report.ok
         assert report.restored == k
@@ -96,11 +96,11 @@ class TestKillAndResume:
 
     def test_completed_journal_resolves_zero_shards(self, tmp_path, baseline):
         first = run_sweep_report(
-            CASES, mode="serial", checkpoint_dir=tmp_path
+            CASES, checkpoint_dir=tmp_path
         )
         assert first.ok and first.solved == N
         again = run_sweep_report(
-            CASES, mode="serial", checkpoint_dir=tmp_path, resume=True
+            CASES, checkpoint_dir=tmp_path, resume=True
         )
         assert again.solved == 0
         assert again.restored == N
@@ -113,7 +113,7 @@ class TestTornJournals:
         corrupt_journal_tail(journal.path)
         with pytest.warns(TornTailWarning):
             report = run_sweep_report(
-                CASES, mode="serial", checkpoint_dir=tmp_path, resume=True
+                CASES, checkpoint_dir=tmp_path, resume=True
             )
         assert report.ok
         assert [_strip(o) for o in report.outcomes] == baseline
@@ -123,7 +123,7 @@ class TestTornJournals:
         tear_file(journal.path, drop_bytes=20)  # shred the last record
         with pytest.warns(TornTailWarning):
             report = run_sweep_report(
-                CASES, mode="serial", checkpoint_dir=tmp_path, resume=True
+                CASES, checkpoint_dir=tmp_path, resume=True
             )
         assert report.ok
         assert report.restored == N - 2  # the torn record's shard re-solved
@@ -157,7 +157,7 @@ class TestWorkerDeath:
         outcomes = run.map(
             task, [21, 33], ["a", "b"],
             encode=_identity, decode=_identity,
-            max_workers=2, mode="process",
+            max_workers=2,
         )
         assert marker.exists()  # a worker genuinely died
         assert [o.status for o in outcomes] == ["done", "done"]
@@ -172,7 +172,7 @@ class TestWorkerDeath:
         outcomes = run.map(
             _kill_worker, [1, 2], ["a", "b"],
             encode=_identity, decode=_identity,
-            max_workers=2, mode="process",
+            max_workers=2,
         )
         assert all(o.status == "failed" for o in outcomes)
         for outcome in outcomes:
@@ -187,7 +187,7 @@ class TestWorkerDeath:
             journal=journal, fingerprint="fp", resume=True
         ).map(
             _double, [1, 2], ["a", "b"],
-            encode=_identity, decode=_identity, mode="serial",
+            encode=_identity, decode=_identity,
         )
         assert [o.value for o in recovered] == [2, 4]
         assert journal.load().done_payloads() == {"a": 2, "b": 4}

@@ -7,6 +7,8 @@ import pytest
 from repro.core import Instance, Job, validate_ise
 from repro.instances import partition_instance, short_window_instance
 from repro.shortwindow import ShortWindowConfig, ShortWindowSolver
+from repro.shortwindow import pipeline
+from repro.shortwindow.intervals import partition_short_jobs
 
 
 class TestFeasibility:
@@ -117,3 +119,26 @@ class TestSpeed:
         assert fast.schedule.speed == pytest.approx(2.0)
         assert validate_ise(inst, fast.schedule).ok
         assert fast.machines_used <= slow.machines_used
+
+
+class TestBucketMMCalls:
+    def test_solve_bucket_mm_called_once_per_bucket_in_order(self, monkeypatch):
+        """Each bucket's MM solve goes through the module-level
+        ``_solve_bucket_mm``, once, in bucket order: a tracer that wraps
+        that name sees every per-interval MM solve."""
+        instance = short_window_instance(60, 2, 10.0, seed=4).instance
+        seen: list[tuple[int, ...]] = []
+        real = pipeline._solve_bucket_mm
+
+        def spy(jobs, *args):
+            seen.append(tuple(job.job_id for job in jobs))
+            return real(jobs, *args)
+
+        monkeypatch.setattr(pipeline, "_solve_bucket_mm", spy)
+        result = ShortWindowSolver().solve(instance)
+        buckets = partition_short_jobs(instance.jobs, 10.0, gamma=2.0).buckets
+        assert len(buckets) > 1
+        assert seen == [tuple(job.job_id for job in b.jobs) for b in buckets]
+        assert [(r.start, r.num_jobs) for r in result.intervals] == [
+            (b.start, len(b.jobs)) for b in buckets
+        ]
