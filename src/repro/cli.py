@@ -514,7 +514,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     The signal handler only asks the HTTP loop to stop; the actual drain —
     close admission, finish queued + in-flight solves within the drain
     deadline, abandon the rest with typed errors — happens on the main
-    thread afterwards.  Exit code 5 reports an unclean drain (work was
+    thread afterwards; closing the server then waits for every handler to
+    send its reply before the process exits.  Exit code 5 reports an unclean drain (work was
     abandoned), so process supervisors can tell "stopped politely" from
     "stopped on time but dropped requests".
     """

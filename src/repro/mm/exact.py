@@ -15,7 +15,8 @@ window on a free machine preserves feasibility).  Hence searching only
 
 Feasibility on ``w`` machines is monotone in ``w``, so the optimum is found
 by binary search between the preemptive flow lower bound and a greedy upper
-bound.
+bound.  The greedy schedule runs first, so its machine count also caps the
+flow bound's own search.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ class ExactMM:
             if self.time_budget is not None
             else None
         )
-        lo = max(1, preemptive_machine_lower_bound(jobs, speed))
         upper_schedule = BestOfGreedyMM().solve(jobs, speed)
         hi = upper_schedule.num_machines
+        lo = max(1, preemptive_machine_lower_bound(jobs, speed, upper=hi))
         best = upper_schedule
         while lo < hi:
             mid = (lo + hi) // 2

@@ -5,6 +5,8 @@ count ``w``, jobs are placed one at a time by a priority order, each on the
 machine where it can start earliest; ``w`` is grown from a certified lower
 bound until the placement succeeds.  With ``w = n`` every job can run alone
 at its release time (``d_j >= r_j + p_j``), so termination is unconditional.
+:class:`BestOfGreedyMM` scans each later ordering only below the best count
+found so far, since only a strictly smaller count can replace it.
 
 Nonpreemptive list scheduling carries no worst-case approximation guarantee
 for MM — that is exactly why the paper treats the MM algorithm as a black
@@ -96,6 +98,21 @@ def try_schedule_on_w_machines(
     )
 
 
+def _first_success(
+    jobs: Sequence[Job],
+    speed: float,
+    key: Callable[[Job], tuple[float, float, int]],
+    start_w: int,
+    stop_w: int,
+) -> MMSchedule | None:
+    """The first ``w`` in ``[start_w, stop_w]`` where list scheduling succeeds."""
+    for w in range(start_w, stop_w + 1):
+        schedule = try_schedule_on_w_machines(jobs, w, speed, key)
+        if schedule is not None:
+            return schedule
+    return None
+
+
 @dataclass
 class GreedyMM:
     """MM black box: grow ``w`` until one list-scheduling pass succeeds.
@@ -118,30 +135,28 @@ class GreedyMM:
         if not jobs:
             return MMSchedule(placements=(), num_machines=0, speed=speed)
         key = ORDERINGS[self.ordering]
-        w = max(1, self.start_w)
-        while True:
-            schedule = try_schedule_on_w_machines(jobs, w, speed, key)
-            if schedule is not None:
-                check_mm(jobs, schedule, context=self.name)
-                return schedule
-            w += 1
-            if w > len(jobs):
-                # w = n always succeeds; reaching here means a bug.
-                schedule = try_schedule_on_w_machines(jobs, len(jobs), speed, key)
-                if schedule is None:
-                    raise SolverError(
-                        "greedy MM failed with one machine per job; "
-                        "d_j >= r_j + p_j must have been violated",
-                        stage="mm",
-                        backend=self.name,
-                    )
-                check_mm(jobs, schedule, context=self.name)
-                return schedule
+        start = max(1, self.start_w)
+        schedule = _first_success(jobs, speed, key, start, max(start, len(jobs)))
+        if schedule is None:
+            # w = n always succeeds; reaching here means a bug.
+            raise SolverError(
+                "greedy MM failed with one machine per job; "
+                "d_j >= r_j + p_j must have been violated",
+                stage="mm",
+                backend=self.name,
+            )
+        check_mm(jobs, schedule, context=self.name)
+        return schedule
 
 
 @dataclass
 class BestOfGreedyMM:
-    """MM black box: the best (fewest-machine) result over all orderings."""
+    """MM black box: the best (fewest-machine) result over all orderings.
+
+    Ties keep the earlier ordering, so each ordering after the first only
+    scans ``w`` below the best count so far; a bucket the first ordering
+    fits on one machine runs no other ordering at all.
+    """
 
     orderings: tuple[str, ...] = tuple(ORDERINGS)
 
@@ -151,15 +166,19 @@ class BestOfGreedyMM:
         """Run every ordering and keep the schedule using fewest machines."""
         if not jobs:
             return MMSchedule(placements=(), num_machines=0, speed=speed)
-        best: MMSchedule | None = None
-        for ordering in self.orderings:
-            candidate = GreedyMM(ordering=ordering).solve(jobs, speed)
-            if best is None or candidate.num_machines < best.num_machines:
-                best = candidate
-        if best is None:
+        if not self.orderings:
             raise SolverError(
                 "best-of-greedy ran zero orderings",
                 stage="mm",
                 backend=self.name,
             )
+        first, *rest = self.orderings
+        best = GreedyMM(ordering=first).solve(jobs, speed)
+        for ordering in rest:
+            candidate = _first_success(
+                jobs, speed, ORDERINGS[ordering], 1, best.num_machines - 1
+            )
+            if candidate is not None:
+                check_mm(jobs, candidate, context=f"greedy[{ordering}]")
+                best = candidate
         return best

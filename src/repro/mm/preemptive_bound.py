@@ -21,7 +21,9 @@ Lemma 18 calibration lower bound.
 The maximum flow is a small Dinic solver on float capacities.  The network
 is built once per job set; only the interval->sink capacities change with
 ``w``, so the binary search over ``w`` re-runs the flow on a fresh copy of
-the capacity array.
+the capacity array.  A caller that already holds a feasible schedule on
+``u`` machines passes ``upper=u`` to search ``[1, u]`` only; when ``u = 1``
+no network is built at all.
 """
 
 from __future__ import annotations
@@ -149,18 +151,24 @@ def preemptive_feasible(
 
 
 def preemptive_machine_lower_bound(
-    jobs: Sequence[Job], speed: float = 1.0
+    jobs: Sequence[Job], speed: float = 1.0, upper: int | None = None
 ) -> int:
     """The minimum ``w`` that is preemptively feasible (binary search).
 
     Preemptive feasibility is monotone in ``w``, so binary search on
     ``[1, n]`` is valid (``w = n`` is always feasible because each job fits
-    in its own window).
+    in its own window).  ``upper`` is a machine count already known to be
+    feasible, e.g. the size of a checked nonpreemptive schedule; the search
+    then runs on ``[1, min(upper, n)]`` and gives the same answer.
     """
     if not jobs:
         return 0
-    network = _HornNetwork(jobs, speed)
     lo, hi = 1, len(jobs)
+    if upper is not None:
+        hi = max(1, min(upper, hi))
+    if lo == hi:
+        return lo
+    network = _HornNetwork(jobs, speed)
     while lo < hi:
         mid = (lo + hi) // 2
         if network.feasible(mid):

@@ -39,12 +39,20 @@ Endpoints:
 
 Built on :class:`http.server.ThreadingHTTPServer` — no framework, no new
 dependencies — which is plenty for an internal solve service whose unit of
-work is seconds of CPU, not microseconds of IO.
+work is seconds of CPU, not microseconds of IO.  Shutdown order: stop
+``serve_forever``, drain the service, then ``server_close``, which waits for
+every handler to send its reply; a handler whose solve the drain abandoned
+answers 503 rather than being cut off when the process exits.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import time
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -67,6 +75,12 @@ from .service import ServeOutcome, SolveService
 from .sessions import SessionManager, SessionSnapshot
 
 __all__ = ["SolveHTTPServer", "make_server"]
+
+
+#: How often a handler waiting on a solve checks whether the server closed.
+_CLOSE_POLL = 0.05
+#: Seconds ``server_close`` waits in all for handlers still answering.
+_CLOSE_TIMEOUT = 5.0
 
 
 class _BadSessionPayload(ValueError):
@@ -92,6 +106,10 @@ class SolveHTTPServer(ThreadingHTTPServer):
     ``sessions`` is the optional :class:`SessionManager` behind the
     ``/sessions`` routes; without one those routes answer 404 with a hint
     to start the server with a session directory.
+
+    Handler threads are daemons, so a stalled client cannot hold the
+    process open, but the server tracks them: :meth:`server_close` waits a
+    bounded time for them to finish their replies.
     """
 
     daemon_threads = True
@@ -105,10 +123,59 @@ class SolveHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.service = service
         self.sessions = sessions
+        self._closing = threading.Event()
+        self._handlers: set[threading.Thread] = set()
+        self._handlers_lock = threading.Lock()
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def process_request(
+        self, request: socket.socket | tuple[bytes, socket.socket], client_address: Any
+    ) -> None:
+        """Answer on a daemon thread that :meth:`server_close` can wait for."""
+        thread = threading.Thread(
+            target=self._answer, args=(request, client_address), daemon=True
+        )
+        with self._handlers_lock:
+            self._handlers.add(thread)
+        thread.start()
+
+    def _answer(
+        self, request: socket.socket | tuple[bytes, socket.socket], client_address: Any
+    ) -> None:
+        try:
+            self.process_request_thread(request, client_address)
+        finally:
+            with self._handlers_lock:
+                self._handlers.discard(threading.current_thread())
+
+    def server_close(self) -> None:
+        """Close the socket, then wait for handlers still answering.
+
+        Call it after the service drained: every solve future the drain
+        finished is then resolved and its handler only has to send the
+        reply.  A handler still waiting on an abandoned solve answers 503.
+        """
+        self._closing.set()
+        super().server_close()
+        deadline = time.monotonic() + _CLOSE_TIMEOUT
+        with self._handlers_lock:
+            handlers = list(self._handlers)
+        for thread in handlers:
+            thread.join(max(0.0, deadline - time.monotonic()))
+
+    def await_outcome(self, future: Future[ServeOutcome]) -> ServeOutcome:
+        """The solve's outcome, or :class:`ServiceShutdownError` once closed."""
+        while True:
+            try:
+                return future.result(timeout=_CLOSE_POLL)
+            except FutureTimeout:
+                if self._closing.is_set():
+                    raise ServiceShutdownError(
+                        "server closed before the solve finished", stage="serve"
+                    ) from None
 
 
 def _error_status(exc: BaseException) -> int:
@@ -355,7 +422,7 @@ class _Handler(BaseHTTPRequestHandler):
             request, replayed = service.submit_idempotent(
                 instance, deadline=deadline, request_id=request_id
             )
-            outcome = request.future.result()
+            outcome = self.server.await_outcome(request.future)
         except ValueError as exc:  # e.g. non-positive deadline
             self._send_json(400, {"error": str(exc)})
             return

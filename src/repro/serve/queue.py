@@ -129,11 +129,29 @@ class AdmissionQueue(Generic[T]):
         self._shedding = False
         self._rejected = 0
         self._peak_depth = 0
+        self._unfinished = 0
 
     @property
     def depth(self) -> int:
         with self._lock:
             return len(self._items)
+
+    @property
+    def unfinished(self) -> int:
+        """Items admitted but not yet finished: queued plus taken by ``get``.
+
+        A taken item stays unfinished until its consumer calls
+        :meth:`task_done`, so there is no moment between dequeue and
+        processing in which the item is counted nowhere.
+        """
+        with self._lock:
+            return self._unfinished
+
+    @property
+    def taken(self) -> int:
+        """Items taken by ``get`` whose consumer has not called ``task_done``."""
+        with self._lock:
+            return self._unfinished - len(self._items)
 
     @property
     def shedding(self) -> bool:
@@ -180,6 +198,7 @@ class AdmissionQueue(Generic[T]):
                     stage="serve",
                 )
             self._items.append(item)
+            self._unfinished += 1
             self._peak_depth = max(self._peak_depth, len(self._items))
             self._update_watermarks_locked()
             self._not_empty.notify()
@@ -195,6 +214,11 @@ class AdmissionQueue(Generic[T]):
             self._update_watermarks_locked()
             return item
 
+    def task_done(self) -> None:
+        """Mark one item taken by :meth:`get` as finished."""
+        with self._lock:
+            self._unfinished -= 1
+
     def close(self) -> None:
         """Stop admission (idempotent); queued items remain to be drained."""
         with self._lock:
@@ -206,5 +230,6 @@ class AdmissionQueue(Generic[T]):
         with self._lock:
             leftover = list(self._items)
             self._items.clear()
+            self._unfinished -= len(leftover)
             self._update_watermarks_locked()
             return leftover

@@ -245,7 +245,6 @@ class SolveService:
         self._started = False
         self._draining = False
         self._state_lock = threading.Lock()
-        self._in_flight: dict[str, SolveRequest] = {}
         self._idle = threading.Condition(self._state_lock)
         # Bounded LRU of recent client request_ids -> their SolveRequest,
         # so a duplicate POST (client retry, proxy replay) reuses the
@@ -290,8 +289,7 @@ class SolveService:
 
     @property
     def in_flight(self) -> int:
-        with self._state_lock:
-            return len(self._in_flight)
+        return self.queue.taken
 
     @property
     def ready(self) -> bool:
@@ -415,8 +413,7 @@ class SolveService:
         """
         with self._state_lock:
             avg = self._avg_solve_seconds
-            backlog = len(self._in_flight)
-        backlog += self.queue.depth
+        backlog = self.queue.unfinished
         if avg is None or backlog == 0:
             return 1
         estimate = (backlog / self.config.workers) * avg
@@ -431,13 +428,11 @@ class SolveService:
                 if self._stop.is_set():
                     return
                 continue
-            with self._state_lock:
-                self._in_flight[request.request_id] = request
             try:
                 self._handle(request)
             finally:
-                with self._state_lock:
-                    self._in_flight.pop(request.request_id, None)
+                self.queue.task_done()
+                with self._idle:
                     self._idle.notify_all()
 
     def _request_config(self, request: SolveRequest, shed: bool) -> ISEConfig:
@@ -593,10 +588,11 @@ class SolveService:
             self._draining = True
         self.queue.close()
 
-        # Wait for queued work to be picked up and in-flight work to finish.
+        # Wait for queued work to be picked up and in-flight work to finish;
+        # ``unfinished`` counts a dequeued request until its worker is done.
         with self._idle:
             while wait_clock() - started < deadline:
-                if self.queue.depth == 0 and not self._in_flight:
+                if self.queue.unfinished == 0:
                     break
                 remaining = deadline - (wait_clock() - started)
                 self._idle.wait(timeout=min(_POLL_INTERVAL, max(0.0, remaining)))
@@ -616,8 +612,7 @@ class SolveService:
                     stage="serve",
                 )
             )
-        with self._state_lock:
-            abandoned_in_flight = len(self._in_flight)
+        abandoned_in_flight = self.queue.unfinished
         self.stats.bump("abandoned", abandoned_in_flight)
 
         self._stop.set()

@@ -255,7 +255,11 @@ class ShortWindowSolver:
             )
             lift_time += time.perf_counter() - tic
             tic = time.perf_counter()
-            mm_lower_bound = preemptive_machine_lower_bound(bucket.jobs, cfg.speed)
+            # The MM schedule passed check_mm, so it is feasible, hence
+            # preemptively feasible: its machine count caps the search.
+            mm_lower_bound = preemptive_machine_lower_bound(
+                bucket.jobs, cfg.speed, upper=mm_schedule.num_machines
+            )
             bound_time += time.perf_counter() - tic
 
             reports.append(
@@ -278,7 +282,8 @@ class ShortWindowSolver:
             pass_calibrations[k].extend(lifted.schedule.calibrations)
             pass_placements[k].extend(lifted.schedule.placements)
         times["lift"] = lift_time
-        # Lemma 18's preemptive-flow bound, one max-flow search per bucket.
+        # Lemma 18's preemptive-flow bound: one max-flow search per bucket
+        # whose MM answer exceeds one machine.
         times["lower_bound"] = bound_time
 
         pass0, pass1 = (

@@ -213,6 +213,76 @@ def test_cli_serve_drains_cleanly_on_sigterm() -> None:
             process.communicate(timeout=10)
 
 
+#: Runs ``repro-ise serve`` with every /solve reply held back until the
+#: drain has begun, and half a second past that: the main thread reaches
+#: ``server_close()`` while the reply is still unsent.
+_HELD_REPLY_SERVE = """
+import sys, time
+from repro import cli
+from repro.serve import http
+
+send_json = http._Handler._send_json
+
+def held_send_json(self, status, payload, headers=None):
+    if self.path == "/solve":
+        while not self.server.service.draining:
+            time.sleep(0.01)
+        time.sleep(0.5)
+    send_json(self, status, payload, headers)
+
+http._Handler._send_json = held_send_json
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(os.name == "nt", reason="POSIX signals")
+def test_cli_serve_sends_a_held_reply_before_exiting_on_sigterm() -> None:
+    """A reply still being written at SIGTERM reaches the client."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    process = subprocess.Popen(
+        [sys.executable, "-c", _HELD_REPLY_SERVE, "serve", "--port", "0", "--workers", "1"],
+        cwd=REPO_ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        banner = process.stdout.readline()
+        match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
+        assert match, f"no listening banner, got: {banner!r}"
+        port = int(match.group(1))
+
+        body = {"instance": instance_to_dict(mixed_instance(8, 2, 10.0, 0).instance)}
+        statuses: list[int] = []
+        poster = threading.Thread(
+            target=lambda: statuses.append(_post_solve(port, body))
+        )
+        poster.start()
+        # Wait until the solve is done and its handler is holding the reply.
+        for _ in range(500):
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/stats", timeout=10
+            ) as response:
+                stats = json.loads(response.read())
+            if stats["counters"]["completed"] >= 1:
+                break
+            threading.Event().wait(0.02)
+        assert stats["counters"]["completed"] == 1, stats
+        process.send_signal(signal.SIGTERM)
+
+        poster.join(timeout=30.0)
+        output, _ = process.communicate(timeout=30)
+        assert statuses == [200], (statuses, output)
+        assert process.returncode == 0, output
+        assert "clean" in output and "UNCLEAN" not in output, output
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate(timeout=10)
+
+
 # ---------------------------------------------------------------------------
 # Verified mode: corrupted results are repaired or quarantined, never served
 # ---------------------------------------------------------------------------

@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures import Future
 import urllib.error
 import urllib.request
 from typing import Any, Iterator
 
 import pytest
 
-from repro.core import OverloadError, SolverError, StageTimeoutError
+from repro.core import (
+    OverloadError,
+    ServiceShutdownError,
+    SolverError,
+    StageTimeoutError,
+)
 from repro.core.solver import ISEConfig
 from repro.instances import instance_to_dict, mixed_instance, schedule_from_dict
 from repro.serve import ServiceConfig, SolveService, make_server
+from repro.serve import http
 from repro.core.validate import validate_ise
 
 
@@ -218,3 +225,55 @@ def test_overload_maps_to_429_with_retry_after(instance) -> None:
         httpd.shutdown()
         service.shutdown(drain_deadline=5.0)
         httpd.server_close()
+
+
+def test_handler_of_an_abandoned_solve_answers_503_on_close(instance) -> None:
+    """server_close() wakes a handler whose solve the drain gave up on."""
+    gate = threading.Event()
+
+    def blocking(inst: object, cfg: ISEConfig) -> str:
+        gate.wait(timeout=30.0)
+        raise SolverError("released without a result")
+
+    service = SolveService(ServiceConfig(workers=1, queue_capacity=1), solve_fn=blocking)
+    httpd = make_server(service, port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    replies: list[tuple[int, dict[str, Any], dict[str, str]]] = []
+    poster = threading.Thread(
+        target=lambda: replies.append(
+            _request(httpd, "/solve", {"instance": instance_to_dict(instance)})
+        )
+    )
+    poster.start()
+    try:
+        for _ in range(600):
+            if service.in_flight == 1:
+                break
+            threading.Event().wait(0.05)
+        assert service.in_flight == 1
+        httpd.shutdown()
+        report = service.shutdown(drain_deadline=0.1)
+        assert report.abandoned_in_flight == 1
+        httpd.server_close()
+        poster.join(timeout=10.0)
+        assert [(status, payload["error_type"]) for status, payload, _ in replies] == [
+            (503, "ServiceShutdownError")
+        ]
+    finally:
+        gate.set()
+        poster.join(timeout=10.0)
+
+
+def test_await_outcome_keeps_waiting_on_a_pending_solve() -> None:
+    """A solve still running after the close poll is awaited, not dropped."""
+    httpd = make_server(SolveService(ServiceConfig(workers=1)), port=0)
+    try:
+        future: Future[Any] = Future()
+        finisher = threading.Timer(3 * http._CLOSE_POLL, future.set_result, ("done",))
+        finisher.start()
+        assert httpd.await_outcome(future) == "done"
+    finally:
+        httpd.server_close()
+    with pytest.raises(ServiceShutdownError):
+        httpd.await_outcome(Future())

@@ -91,14 +91,13 @@ def test_retry_after_reflects_backlog_and_observed_solve_time(
         # Pretend six requests are stacked behind slow 10s solves.
         with service._state_lock:
             service._avg_solve_seconds = 10.0
-            for i in range(6):
-                service._in_flight[f"fake-{i}"] = object()
+        with service.queue._lock:
+            service.queue._unfinished += 6
         try:
             assert service.retry_after_estimate() == 60  # 6 backlog / 1 worker * 10s
         finally:
-            with service._state_lock:
-                for i in range(6):
-                    service._in_flight.pop(f"fake-{i}")
+            with service.queue._lock:
+                service.queue._unfinished -= 6
         assert service.stats_snapshot()["retry_after"] == 1
     finally:
         service.shutdown(drain_deadline=10.0)

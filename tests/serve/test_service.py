@@ -212,6 +212,39 @@ def test_shutdown_drains_in_flight_work(instance) -> None:
     assert request.future.result(timeout=1.0).result == "solved"
 
 
+def test_shutdown_waits_for_a_request_between_dequeue_and_start(instance) -> None:
+    """A request a worker has dequeued but not yet started still drains."""
+    service = make_service(lambda inst, cfg: "solved")
+    dequeued, resume = threading.Event(), threading.Event()
+    get = service.queue.get
+
+    def stalled_get(timeout: float | None = None):
+        item = get(timeout)
+        if item is not None:
+            dequeued.set()
+            resume.wait(timeout=10.0)
+        return item
+
+    service.queue.get = stalled_get  # type: ignore[method-assign]
+    service.start()
+    request = service.submit(instance)
+    assert dequeued.wait(timeout=10.0)
+    assert service.queue.depth == 0 and service.in_flight == 1
+
+    # Resume only after shutdown's worker join (0.5 s) would have given up.
+    releaser = threading.Timer(1.0, resume.set)
+    releaser.start()
+    try:
+        report = service.shutdown(drain_deadline=10.0)
+    finally:
+        releaser.cancel()
+        resume.set()
+    assert report.clean
+    assert report.drained == 1
+    assert service.queue.unfinished == 0
+    assert request.future.result(timeout=1.0).result == "solved"
+
+
 def test_shutdown_abandons_queued_work_past_deadline(instance) -> None:
     gate = GatedSolve()
     service = make_service(gate).start()
