@@ -1,6 +1,6 @@
 """RES — happy-path overhead of the resilience layer.
 
-The resilience machinery (ambient budget polling in the simplex/B&B inner
+The resilience machinery (ambient budget polling in the exact MM search
 loops, per-attempt closures, report bookkeeping) must be effectively free
 when nothing fails: the acceptance bar is <2% end-to-end overhead on the
 ``bench_perf_scaling`` sizes.

@@ -31,7 +31,6 @@ ORDER = [
     ("AUG", "augmentation_frontier"),
     ("ABL1", "abl_rounding_threshold"),
     ("ABL2", "abl_window_threshold"),
-    ("ABL3", "abl_lp_backend"),
     ("ABL4", "abl_consolidation"),
     ("ABL5", "abl_rounding_scheme"),
     ("VAR1", "var_overlapping"),

@@ -23,7 +23,7 @@ Subpackages:
 * :mod:`repro.longwindow`  — Section 3 algorithms (Theorems 12 and 14).
 * :mod:`repro.shortwindow` — Section 4 algorithms (Theorem 20).
 * :mod:`repro.mm`          — machine-minimization black boxes.
-* :mod:`repro.lp`          — LP substrate (HiGHS + in-repo simplex).
+* :mod:`repro.lp`          — LP model builder and the HiGHS backend.
 * :mod:`repro.baselines`   — naive policies, lazy binning, exact solvers.
 * :mod:`repro.instances`   — workload generators and the paper's figures.
 * :mod:`repro.analysis`    — lower bounds, metrics, sweeps, reports,
@@ -52,7 +52,6 @@ from .core import (
     ReproError,
     ResiliencePolicy,
     ResilienceReport,
-    RetryPolicy,
     Schedule,
     ScheduledJob,
     ServiceShutdownError,
@@ -110,7 +109,6 @@ __all__ = [
     "ServiceShutdownError",
     # resilience
     "SolveBudget",
-    "RetryPolicy",
     "ResiliencePolicy",
     "ResilienceReport",
     # solvers

@@ -57,7 +57,6 @@ def long_window_lower_bound(
     jobs: Sequence[Job],
     calibration_length: float,
     machines: int,
-    backend: str = "highs",
 ) -> float:
     """``TISE-LP(3m) / 3`` — a lower bound on ISE OPT(m) for long jobs.
 
@@ -65,7 +64,7 @@ def long_window_lower_bound(
     """
     if not jobs:
         return 0.0
-    solution = solve_tise_lp(jobs, calibration_length, 3 * machines, backend=backend)
+    solution = solve_tise_lp(jobs, calibration_length, 3 * machines)
     return solution.objective / 3.0
 
 
@@ -141,7 +140,6 @@ class LowerBoundBreakdown:
 
 def combined_lower_bound(
     instance: Instance,
-    backend: str = "highs",
     gamma: float = 2.0,
 ) -> LowerBoundBreakdown:
     """Best certified lower bound for a mixed instance.
@@ -154,8 +152,6 @@ def combined_lower_bound(
     split = partition_jobs(instance)
     return LowerBoundBreakdown(
         work=work_lower_bound(instance.jobs, T),
-        long_lp=long_window_lower_bound(
-            split.long_jobs, T, instance.machines, backend=backend
-        ),
+        long_lp=long_window_lower_bound(split.long_jobs, T, instance.machines),
         short_interval=short_window_lower_bound(split.short_jobs, T, gamma=gamma),
     )

@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", help="schedule JSON output path")
     solve.add_argument("--mm", default="best_greedy",
                        help="MM black box name (see repro.mm.MM_ALGORITHMS)")
-    solve.add_argument("--lp-backend", default="highs",
-                       choices=["highs", "simplex"])
     solve.add_argument("--window-factor", type=float, default=2.0,
                        help="Definition 1 long/short threshold factor")
     solve.add_argument("--no-prune", action="store_true",
@@ -213,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "and in-flight solves before abandoning them")
     serve.add_argument("--mm", default="best_greedy",
                        help="MM black box for the short-window side")
-    serve.add_argument("--lp-backend", default="highs",
-                       choices=["highs", "simplex"])
     serve.add_argument("--strict", action="store_true",
                        help="propagate solve failures instead of degrading "
                             "through fallback chains")
@@ -286,7 +282,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     config = ISEConfig(
         mm_algorithm=args.mm,
-        lp_backend=args.lp_backend,
         window_factor=args.window_factor,
         prune_empty=not args.no_prune,
         overlapping_calibrations=args.overlapping,
@@ -526,7 +521,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     solver = ISEConfig(
         mm_algorithm=args.mm,
-        lp_backend=args.lp_backend,
         strict=args.strict,
     )
     config = ServiceConfig(

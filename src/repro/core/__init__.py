@@ -44,7 +44,6 @@ from .errors import (
     CertificationError,
     CorruptArtifactError,
     FallbacksExhaustedError,
-    NumericalDriftError,
     InfeasibleInstanceError,
     InfeasibleScheduleError,
     InvalidArtifactError,
@@ -66,7 +65,6 @@ from .resilience import (
     FallbackGate,
     ResiliencePolicy,
     ResilienceReport,
-    RetryPolicy,
     SolveBudget,
     StageAttempt,
     budget_scope,
@@ -115,7 +113,6 @@ __all__ = [
     "InfeasibleScheduleError",
     "InfeasibleInstanceError",
     "SolverError",
-    "NumericalDriftError",
     "CertificationError",
     "LimitExceededError",
     "StageTimeoutError",
@@ -143,7 +140,6 @@ __all__ = [
     "ParallelFallbackWarning",
     "last_fallback_reason",
     "SolveBudget",
-    "RetryPolicy",
     "ResiliencePolicy",
     "FallbackGate",
     "ResilienceReport",

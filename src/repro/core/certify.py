@@ -1,8 +1,8 @@
 """End-to-end solve certificates: independent re-validation of results.
 
 The pipelines already validate their own output (``check_ise``) and the LP
-substrate runs numerical sentinels (:mod:`repro.lp.sentinel`); this module
-is the *last* line of defense, applied to the fully-merged result exactly
+backend checks the feasibility of every optimum it reports; this module is
+the *last* line of defense, applied to the fully-merged result exactly
 as a caller would receive it.  A :class:`SolveCertificate` records:
 
 * an exact content fingerprint of the instance that was solved,

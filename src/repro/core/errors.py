@@ -21,7 +21,6 @@ __all__ = [
     "InfeasibleScheduleError",
     "InfeasibleInstanceError",
     "SolverError",
-    "NumericalDriftError",
     "CertificationError",
     "LimitExceededError",
     "StageTimeoutError",
@@ -118,7 +117,7 @@ class InfeasibleInstanceError(ReproError):
 
     Raised e.g. when the TISE linear program of Section 3 is infeasible,
     which under Lemma 2 certifies that the long-window instance is not
-    feasible on ``m`` machines.  The resilience layer never retries or
+    feasible on ``m`` machines.  The resilience layer never degrades or
     falls back on this error: a different backend cannot make an
     infeasible instance feasible.
     """
@@ -126,36 +125,6 @@ class InfeasibleInstanceError(ReproError):
 
 class SolverError(ReproError, RuntimeError):
     """An underlying numeric solver (LP / MILP / flow) failed unexpectedly."""
-
-
-class NumericalDriftError(SolverError):
-    """An LP backend's answer failed its numerical sentinels beyond repair.
-
-    Raised by the revised simplex when the post-solve residual checks
-    (primal feasibility, basis consistency ``B (B^-1 b) = b``, the
-    objective-vs-duals identity) stay above tolerance after the full
-    escalation ladder — iterative refinement, then forced refactorization —
-    has been exhausted.  Subclasses :class:`SolverError` so the resilience
-    layer treats it as a retryable backend failure: the fallback chain
-    moves on to the next LP backend.
-
-    ``residuals`` maps sentinel names to their final (scaled) values;
-    ``escalations`` records the repair steps that were attempted.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        residuals: dict[str, float] | None = None,
-        escalations: tuple[str, ...] = (),
-        stage: str | None = None,
-        backend: str | None = None,
-        elapsed: float | None = None,
-    ) -> None:
-        super().__init__(message, stage=stage, backend=backend, elapsed=elapsed)
-        self.residuals = dict(residuals or {})
-        self.escalations = tuple(escalations)
 
 
 class CertificationError(ReproError):

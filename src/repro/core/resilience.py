@@ -1,42 +1,43 @@
 """The resilience layer: solve budgets, fallback chains, and reports.
 
-The ROADMAP's north star is a production-scale service, and a service must
-*degrade, not die*: a hung LP solve, a crashed backend, or an exploding
-exact search should cost solution quality, never availability.  The paper's
-own structure licenses this — the Section 4 reduction is black-box in the
-MM algorithm (Theorem 20), so swapping a failed or slow backend for a
-cheaper one preserves correctness (only the approximation factor moves),
-and the Section 3 LP side can always be replaced wholesale by the LP-free
-lazy greedy baseline.
+A non-strict solve must return a validated schedule whenever the instance
+has one, within its deadline, even when a backend fails.  The paper's own
+structure licenses this: the Section 4 reduction is black-box in the MM
+algorithm (Theorem 20), so swapping a failed backend for a cheaper one
+preserves correctness (only the approximation factor moves), and the
+Section 3 LP side can always be replaced wholesale by the LP-free lazy
+greedy baseline.
 
 Three cooperating pieces:
 
 * :class:`SolveBudget` — a wall-clock deadline plus optional per-stage
   timeouts.  The budget is installed as ambient context for the duration of
-  a solve (:func:`budget_scope`), so deep inner loops — the simplex pivot
-  loop, the exact branch-and-bound — can poll it cheaply via
+  a solve (:func:`budget_scope`), so deep inner loops — the exact MM
+  branch-and-bound and the backtracking search — can poll it cheaply via
   :func:`check_budget` without threading a parameter through every call.
   The clock is injectable, which makes timeout behavior deterministic in
   tests (see :class:`repro.testing.faults.FakeClock`).
 
 * :class:`ResiliencePolicy` + :func:`run_with_fallbacks` — declarative
-  fallback chains (LP: ``highs -> simplex``; MM: anything ``->
-  best_greedy -> greedy_edf``) with per-candidate retry/backoff, executed
-  by one generic engine that records every attempt.
+  fallback chains (MM: anything ``-> best_greedy -> greedy_edf``; the LP
+  stage has HiGHS alone), executed by one generic engine that tries each
+  candidate once and records every attempt.  Every candidate runs in
+  process and is deterministic, so trying one again on the same input
+  would fail the same way.
 
-* :class:`ResilienceReport` — the attempt/retry/fallback record attached
-  to results so operators can see *how* an answer was produced, not just
-  what it is.  Stage timings live in ``ISEResult.wall_times``.
+* :class:`ResilienceReport` — the attempt/fallback record attached to
+  results so operators can see *how* an answer was produced, not just what
+  it is.  Stage timings live in ``ISEResult.wall_times``.
 
 ``strict`` mode (the default) disables fallbacks and degradation: errors
 propagate, carrying structured context.  ``strict=False`` turns every
-failure into the best feasible answer the chain can still produce.
+failure into the best feasible answer the chain can still produce; a
+failed LP stage degrades the whole long-window side to the greedy.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -63,7 +64,6 @@ from .errors import (
 __all__ = [
     "SolveBudget",
     "StageGuard",
-    "RetryPolicy",
     "ResiliencePolicy",
     "FallbackGate",
     "StageAttempt",
@@ -72,14 +72,10 @@ __all__ = [
     "current_budget",
     "check_budget",
     "run_with_fallbacks",
-    "DEFAULT_LP_CHAIN",
     "DEFAULT_MM_CHAIN",
 ]
 
 T = TypeVar("T")
-
-#: Default LP fallback order (primary first; see ``ResiliencePolicy.lp_chain``).
-DEFAULT_LP_CHAIN: tuple[str, ...] = ("highs", "simplex")
 
 #: Default MM fallback order.  ``best_greedy`` is polynomial and total
 #: (never raises on a feasible MM sub-instance); ``greedy_edf`` backs it up
@@ -119,13 +115,14 @@ class SolveBudget:
         """An unstarted budget carrying the time *remaining* right now.
 
         This is how a budget crosses an execution boundary that its ambient
-        context-local cannot (a worker process, a thread pool without
-        context propagation): the parent snapshots ``remaining()`` into a
-        fresh budget, ships it to the worker, and the worker re-enters it
-        via :func:`budget_scope`.  Stage timeouts are copied through; an
-        injected test clock is deliberately *not* (a fake clock's ticks do
-        not cross process boundaries — the snapshot freezes its verdict
-        instead: an expired parent yields a ``wall_clock=0`` child).
+        context-local cannot: a sweep's worker process, or a serve request
+        that already spent part of its deadline in the admission queue.
+        The parent snapshots ``remaining()`` into a fresh budget, ships it
+        on, and the receiver re-enters it via :func:`budget_scope`.  Stage
+        timeouts are copied through; an injected test clock is deliberately
+        *not* (a fake clock's ticks do not cross process boundaries — the
+        snapshot freezes its verdict instead: an expired parent yields a
+        ``wall_clock=0`` child).
         """
         remaining = self.remaining()
         wall = None if math.isinf(remaining) else max(0.0, remaining)
@@ -242,9 +239,9 @@ def budget_scope(budget: SolveBudget | None) -> Iterator[SolveBudget | None]:
 def check_budget(stage: str, backend: str | None = None) -> None:
     """Poll the ambient budget from an inner loop (no-op without a scope).
 
-    This is the cheap hook the simplex pivot loop and the exact search call
-    every few hundred iterations/nodes: one contextvar read, and a clock
-    read only when a budget is actually installed.
+    This is the cheap hook the exact and backtracking MM searches call
+    every few hundred nodes: one contextvar read, and a clock read only
+    when a budget is actually installed.
     """
     budget = _AMBIENT_BUDGET.get()
     if budget is not None:
@@ -254,73 +251,6 @@ def check_budget(stage: str, backend: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 # Policies
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many times to try each fallback candidate, and how to back off.
-
-    Attributes:
-        attempts: tries per candidate (1 = no retry).  Retrying makes sense
-            for transiently flaky backends; deterministic failures fall
-            through to the next candidate after the retries.
-        backoff: base sleep in seconds between retries of one candidate,
-            doubling per retry.  0.0 (default) sleeps not at all.
-        jitter: fraction of each backoff delay that is randomized (bounded
-            full jitter): the actual sleep is uniform in
-            ``[delay * (1 - jitter), delay]``.  0.0 (default) keeps the
-            historical deterministic behavior; values near 1.0 approach
-            classic full jitter.  Jitter de-synchronizes retry herds — a
-            fleet of clients whose first attempts failed together would
-            otherwise all come back on the same doubling schedule.
-        sleep: injectable sleeper (tests pass a no-op).
-        rng: injectable uniform source in ``[0, 1)`` (the library's RNG
-            convention: tests pass a deterministic stub).
-    """
-
-    attempts: int = 1
-    backoff: float = 0.0
-    jitter: float = 0.0
-    sleep: Callable[[float], None] = time.sleep
-    rng: Callable[[], float] = random.random
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(
-                f"jitter must be within [0, 1], got {self.jitter}"
-            )
-
-    def backoff_delay(self, attempt: int) -> float:
-        """The (possibly jittered) delay before retry number ``attempt``."""
-        if attempt <= 1 or self.backoff <= 0.0:
-            return 0.0
-        delay = self.backoff * (2 ** (attempt - 2))
-        if self.jitter > 0.0:
-            low = delay * (1.0 - self.jitter)
-            delay = low + (delay - low) * self.rng()
-        return delay
-
-    def pause_before(
-        self, attempt: int, budget: SolveBudget | None = None
-    ) -> None:
-        """Sleep before retry number ``attempt`` (2-based; 1 never sleeps).
-
-        With a ``budget``, the sleep is clamped to the budget's remaining
-        wall clock — an exponential backoff must never out-sleep an
-        almost-expired deadline — and skipped entirely when nothing
-        remains (the caller's next ``ensure()`` then raises instead of
-        this method burning real time first).
-        """
-        delay = self.backoff_delay(attempt)
-        if delay <= 0.0:
-            return
-        if budget is not None:
-            remaining = budget.remaining()
-            if remaining <= 0.0:
-                return
-            if not math.isinf(remaining):
-                delay = min(delay, remaining)
-        self.sleep(delay)
 
 
 @runtime_checkable
@@ -354,35 +284,21 @@ class ResiliencePolicy:
             stage context.  When False, fallback chains and whole-pipeline
             degradation guarantee a feasible answer whenever one exists.
         budget: wall-clock budget template (copied fresh per solve).
-        retry: per-candidate retry/backoff policy.
-        lp_chain: LP backend fallback order; None uses
-            :data:`DEFAULT_LP_CHAIN`.
         mm_chain: MM algorithm fallback order; None uses
             :data:`DEFAULT_MM_CHAIN`.
         pipeline_fallback: allow whole-pipeline degradation (long side to
             the lazy TISE greedy, short side to one-calibration-per-job)
             when a pipeline fails outright in non-strict mode.
         gate: optional :class:`FallbackGate` consulted per candidate (the
-            solve service plugs its circuit-breaker board in here).  Gates
-            hold locks, so they are shared only within a process: the
-            short-window pipeline applies the gate in serial and thread
-            modes and drops it for process pools.
+            solve service plugs in its circuit-breaker board, which its
+            worker threads share under the board's lock).
     """
 
     strict: bool = True
     budget: SolveBudget | None = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    lp_chain: tuple[str, ...] | None = None
     mm_chain: tuple[str, ...] | None = None
     pipeline_fallback: bool = True
     gate: FallbackGate | None = None
-
-    def lp_candidates(self, primary: str) -> tuple[str, ...]:
-        """Primary backend first, then the rest of the chain (non-strict)."""
-        if self.strict:
-            return (primary,)
-        chain = self.lp_chain if self.lp_chain is not None else DEFAULT_LP_CHAIN
-        return (primary,) + tuple(b for b in chain if b != primary)
 
     def mm_candidates(self, primary: str) -> tuple[str, ...]:
         """Primary MM algorithm first, then the rest of the chain."""
@@ -405,15 +321,14 @@ class StageAttempt:
     """One attempt at one stage with one backend.
 
     ``detail`` carries backend-reported numeric telemetry for successful
-    attempts (e.g. LP ``iterations`` / ``refactorizations`` /
-    ``solve_ms``), populated through the ``telemetry`` hook of
-    :func:`run_with_fallbacks`, and is serialized by ``to_dict``.
+    attempts (e.g. LP ``iterations`` / ``solve_ms``), populated through
+    the ``telemetry`` hook of :func:`run_with_fallbacks`, and is serialized
+    by ``to_dict``.
     """
 
     stage: str
     backend: str
     outcome: str  # "ok" | "failed" | "timeout" | "invalid" | "skipped"
-    attempt: int = 1
     elapsed: float = 0.0
     error: str = ""
     detail: dict[str, float] = field(default_factory=dict)
@@ -465,11 +380,6 @@ class ResilienceReport:
         self.notes.extend(other.notes)
 
     @property
-    def num_retries(self) -> int:
-        """Attempts beyond the first per (stage, backend) pair."""
-        return sum(1 for a in self.attempts if a.attempt > 1)
-
-    @property
     def num_failures(self) -> int:
         return sum(1 for a in self.attempts if not a.ok)
 
@@ -481,7 +391,6 @@ class ResilienceReport:
             f"resilience: {status}",
             f"{len(self.attempts)} attempts",
             f"{self.num_failures} failures",
-            f"{self.num_retries} retries",
         ]
         if self.fallbacks:
             parts.append("fallbacks: " + "; ".join(self.fallbacks))
@@ -500,7 +409,6 @@ class ResilienceReport:
                     "stage": a.stage,
                     "backend": a.backend,
                     "outcome": a.outcome,
-                    "attempt": a.attempt,
                     "elapsed": a.elapsed,
                     "error": a.error,
                     "detail": dict(a.detail),
@@ -514,9 +422,9 @@ class ResilienceReport:
 # The fallback executor
 # ---------------------------------------------------------------------------
 
-#: Errors that no amount of retrying or backend-swapping can fix: the
-#: *instance* is at fault, not the solver.  These propagate immediately.
-_NON_RETRYABLE = (InfeasibleInstanceError, InvalidInstanceError)
+#: Errors that no backend swap can fix: the *instance* is at fault, not
+#: the solver.  These propagate immediately.
+_INSTANCE_ERRORS = (InfeasibleInstanceError, InvalidInstanceError)
 
 
 def _classify(error: BaseException) -> str:
@@ -530,7 +438,6 @@ def run_with_fallbacks(
     candidates: Sequence[tuple[str, Callable[[], T]]],
     *,
     report: ResilienceReport,
-    retry: RetryPolicy | None = None,
     budget: SolveBudget | None = None,
     validate: Callable[[T], None] | None = None,
     gate: FallbackGate | None = None,
@@ -538,9 +445,8 @@ def run_with_fallbacks(
 ) -> T:
     """Try ``candidates`` in order until one returns a validated result.
 
-    Each candidate is ``(backend_name, thunk)``; each is tried up to
-    ``retry.attempts`` times with backoff between tries.  A candidate
-    "fails" when its thunk raises (any exception except the non-retryable
+    Each candidate is ``(backend_name, thunk)`` and is tried once.  A
+    candidate "fails" when its thunk raises (any exception except the
     instance errors) or when ``validate`` rejects its return value — the
     defense against a backend returning garbage.  Every attempt is recorded
     in ``report``; a success on a non-primary candidate records a fallback.
@@ -557,18 +463,30 @@ def run_with_fallbacks(
     ignored — observability must never fail a solve.
 
     Raises:
-        The original error, when there was a single candidate and a single
-        attempt (strict mode — preserves the typed error).
+        The original error, when there was a single candidate (strict
+        mode, and the LP stage — preserves the typed error).
         StageTimeoutError: the global budget expired (no point continuing).
         FallbacksExhaustedError: every candidate failed (or was skipped).
     """
-    retry = retry or RetryPolicy()
     if not candidates:
         raise ValueError(f"no candidates given for stage {stage!r}")
     primary = candidates[0][0]
     last_error: BaseException | None = None
-    single_shot = len(candidates) == 1 and retry.attempts <= 1
+    single_shot = len(candidates) == 1
     clock = budget.clock if budget is not None else time.monotonic
+
+    def failed(backend: str, outcome: str, elapsed: float, error: str) -> None:
+        report.record(
+            StageAttempt(
+                stage=stage,
+                backend=backend,
+                outcome=outcome,
+                elapsed=elapsed,
+                error=error,
+            )
+        )
+        if gate is not None:
+            gate.record_outcome(stage, backend, ok=False)
 
     for backend, thunk in candidates:
         if gate is not None:
@@ -583,125 +501,83 @@ def run_with_fallbacks(
                     )
                 )
                 continue
-        for attempt in range(1, max(1, retry.attempts) + 1):
-            # Clamped backoff first, then the deadline check: a retry whose
-            # budget ran out mid-backoff is skipped, not started.
-            retry.pause_before(attempt, budget=budget)
-            if budget is not None:
-                # A globally-exhausted budget ends the whole chain.
-                budget.ensure(stage, backend)
-            tic = clock()
-            try:
-                result = thunk()
-            except _NON_RETRYABLE:
+        if budget is not None:
+            # A globally-exhausted budget ends the whole chain.
+            budget.ensure(stage, backend)
+        tic = clock()
+        try:
+            result = thunk()
+        except _INSTANCE_ERRORS:
+            raise
+        except ReproError as exc:
+            failed(backend, _classify(exc), max(0.0, clock() - tic), str(exc))
+            last_error = exc
+            if single_shot:
                 raise
-            except ReproError as exc:
-                elapsed = max(0.0, clock() - tic)
-                report.record(
-                    StageAttempt(
-                        stage=stage,
-                        backend=backend,
-                        outcome=_classify(exc),
-                        attempt=attempt,
-                        elapsed=elapsed,
-                        error=str(exc),
-                    )
-                )
-                if gate is not None:
-                    gate.record_outcome(stage, backend, ok=False)
-                last_error = exc
-                if single_shot:
-                    raise
-                if (
-                    isinstance(exc, StageTimeoutError)
-                    and budget is not None
-                    and budget.expired
-                ):
-                    raise  # the deadline is real, not simulated/per-stage
-                continue
-            except Exception as exc:  # noqa: BLE001 — a backend crashed
-                elapsed = max(0.0, clock() - tic)
-                report.record(
-                    StageAttempt(
-                        stage=stage,
-                        backend=backend,
-                        outcome="failed",
-                        attempt=attempt,
-                        elapsed=elapsed,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                if gate is not None:
-                    gate.record_outcome(stage, backend, ok=False)
-                wrapped = SolverError(
-                    f"backend {backend!r} crashed: {exc}",
-                    stage=stage,
-                    backend=backend,
-                    elapsed=elapsed,
-                )
-                wrapped.__cause__ = exc
-                last_error = wrapped
-                if single_shot:
-                    raise wrapped from exc
-                continue
+            if (
+                isinstance(exc, StageTimeoutError)
+                and budget is not None
+                and budget.expired
+            ):
+                raise  # the deadline is real, not simulated/per-stage
+            continue
+        except Exception as exc:  # noqa: BLE001 — a backend crashed
             elapsed = max(0.0, clock() - tic)
-            if validate is not None:
-                try:
-                    validate(result)
-                except _NON_RETRYABLE:
-                    raise
-                except Exception as exc:  # noqa: BLE001 — garbage output
-                    report.record(
-                        StageAttempt(
-                            stage=stage,
-                            backend=backend,
-                            outcome="invalid",
-                            attempt=attempt,
-                            elapsed=elapsed,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    if gate is not None:
-                        gate.record_outcome(stage, backend, ok=False)
-                    if isinstance(exc, ReproError):
-                        last_error = exc
-                    else:
-                        last_error = SolverError(
-                            f"backend {backend!r} returned an invalid "
-                            f"result: {exc}",
-                            stage=stage,
-                            backend=backend,
-                            elapsed=elapsed,
-                        )
-                        last_error.__cause__ = exc
-                    if single_shot:
-                        if last_error is exc:
-                            raise
-                        raise last_error from exc
-                    continue
-            detail: dict[str, float] = {}
-            if telemetry is not None:
-                try:
-                    detail = {
-                        str(k): float(v) for k, v in telemetry(result).items()
-                    }
-                except Exception:  # noqa: BLE001 — observability is best-effort
-                    detail = {}
-            report.record(
-                StageAttempt(
-                    stage=stage,
-                    backend=backend,
-                    outcome="ok",
-                    attempt=attempt,
-                    elapsed=elapsed,
-                    detail=detail,
-                )
+            failed(backend, "failed", elapsed, f"{type(exc).__name__}: {exc}")
+            wrapped = SolverError(
+                f"backend {backend!r} crashed: {exc}",
+                stage=stage,
+                backend=backend,
+                elapsed=elapsed,
             )
-            if gate is not None:
-                gate.record_outcome(stage, backend, ok=True)
-            if backend != primary:
-                report.record_fallback(stage, primary, backend)
-            return result
+            wrapped.__cause__ = exc
+            last_error = wrapped
+            if single_shot:
+                raise wrapped from exc
+            continue
+        elapsed = max(0.0, clock() - tic)
+        if validate is not None:
+            try:
+                validate(result)
+            except _INSTANCE_ERRORS:
+                raise
+            except Exception as exc:  # noqa: BLE001 — garbage output
+                failed(backend, "invalid", elapsed, f"{type(exc).__name__}: {exc}")
+                if isinstance(exc, ReproError):
+                    last_error = exc
+                else:
+                    last_error = SolverError(
+                        f"backend {backend!r} returned an invalid result: {exc}",
+                        stage=stage,
+                        backend=backend,
+                        elapsed=elapsed,
+                    )
+                    last_error.__cause__ = exc
+                if single_shot:
+                    if last_error is exc:
+                        raise
+                    raise last_error from exc
+                continue
+        detail: dict[str, float] = {}
+        if telemetry is not None:
+            try:
+                detail = {str(k): float(v) for k, v in telemetry(result).items()}
+            except Exception:  # noqa: BLE001 — observability is best-effort
+                detail = {}
+        report.record(
+            StageAttempt(
+                stage=stage,
+                backend=backend,
+                outcome="ok",
+                elapsed=elapsed,
+                detail=detail,
+            )
+        )
+        if gate is not None:
+            gate.record_outcome(stage, backend, ok=True)
+        if backend != primary:
+            report.record_fallback(stage, primary, backend)
+        return result
 
     raise FallbacksExhaustedError(
         f"all {len(candidates)} candidate(s) for stage {stage!r} failed "

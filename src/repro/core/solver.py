@@ -16,7 +16,7 @@ still fails, the solver swaps in an always-feasible baseline for that side
 — the LP-free lazy TISE greedy for long-window jobs, one-calibration-per-
 job for short-window jobs — re-validates, and flags the result
 ``degraded`` with a :class:`~repro.core.resilience.ResilienceReport`
-describing every attempt, retry, and fallback.  Only a genuinely
+describing every attempt and fallback.  Only a genuinely
 infeasible or invalid *instance* still raises in non-strict mode.
 """
 
@@ -101,7 +101,6 @@ class ISEConfig:
     Attributes:
         mm_algorithm: black-box MM algorithm for the short-window side
             (registry name or instance) — the ``A`` of Theorem 1.
-        lp_backend: LP backend for the long-window side.
         window_factor: Definition 1 threshold factor (2; ABL2 varies it).
         rounding_threshold: Algorithm 1 threshold (1/2; ABL1 varies it).
         rounding_scheme: ``"greedy"`` (Algorithm 1), ``"ceil"``, or
@@ -134,7 +133,6 @@ class ISEConfig:
     """
 
     mm_algorithm: str | MMAlgorithm = "best_greedy"
-    lp_backend: str = "highs"
     window_factor: float = LONG_WINDOW_FACTOR
     rounding_threshold: float = 0.5
     rounding_scheme: str = "greedy"
@@ -160,7 +158,6 @@ class ISEConfig:
 
     def long_config(self) -> LongWindowConfig:
         return LongWindowConfig(
-            lp_backend=self.lp_backend,
             rounding_threshold=self.rounding_threshold,
             rounding_scheme=self.rounding_scheme,
             prune_empty=self.prune_empty,

@@ -2,8 +2,8 @@
 
 The repository's deadline discipline: an admission-time
 :class:`~repro.core.resilience.SolveBudget` must reach every budget-polled
-inner loop (anything that calls ``check_budget`` — the simplex pivot loop,
-the MM branch-and-bound) through ``budget_scope`` / ``subbudget()`` /
+inner loop (anything that calls ``check_budget`` — the exact MM
+branch-and-bound and the backtracking MM search) through ``budget_scope`` / ``subbudget()`` /
 explicit ``budget=`` forwarding, never by being silently dropped or
 re-created from scratch mid-path.  Three findings enforce it:
 

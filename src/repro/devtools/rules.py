@@ -466,7 +466,7 @@ def _check_solver_boundary(source: SourceFile) -> Iterator[Diagnostic]:
                 and _method(node, "__call__") is not None
             ):
                 if _class_references(node, _LP_MARKERS) or _class_has_call_to(
-                    node, {"solve_highs", "solve_simplex"}
+                    node, {"solve_highs"}
                 ):
                     continue
                 yield source.diagnostic(
@@ -780,11 +780,12 @@ def _check_direct_sleep(source: SourceFile) -> Iterator[Diagnostic]:
     """Flag *calls* to ``time.sleep``, not references to it.
 
     Binding ``time.sleep`` as an injectable default — ``sleep:
-    Callable[[float], None] = time.sleep`` on :class:`RetryPolicy`, say —
-    is the sanctioned pattern and is an attribute *reference*, so it never
+    Callable[[float], None] = time.sleep`` on the sweep's
+    :class:`~repro.core.checkpoint.CheckpointedRun`, say — is the
+    sanctioned pattern and is an attribute *reference*, so it never
     triggers this rule.  A direct call, by contrast, burns real wall clock
-    that no FakeClock can advance past and no SolveBudget can clamp: the
-    retry-backoff bug class this rule exists for.
+    that no FakeClock can advance past: the backoff bug class this rule
+    exists for.
     """
     imports = _import_map(source.tree)
     for node in ast.walk(source.tree):
@@ -796,8 +797,8 @@ def _check_direct_sleep(source: SourceFile) -> Iterator[Diagnostic]:
                 "ISE014",
                 "time.sleep() called directly; take an injectable "
                 "`sleep: Callable[[float], None] = time.sleep` parameter "
-                "(RetryPolicy convention) so tests stay fast and budget "
-                "clamping applies",
+                "(the sweep's shard-backoff convention) so tests stay fast "
+                "and control time",
             )
 
 

@@ -60,8 +60,6 @@ not ISE-feasible on ``m = m'/3`` machines.
   pricing from the current ``S``.  A positive converged phase-1 optimum
   certifies, by the same padding argument, that the full LP is infeasible;
   a zero one resumes phase 2 with the artificials removed.
-* **Backends without duals** (the in-repo simplex) cannot price, so they get
-  ``S0 = P`` and solve the full LP in their single round.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ import numpy as np
 from ..core.errors import InfeasibleInstanceError, SolverError
 from ..core.job import Job
 from ..core.tolerance import EPS, LOOSE_EPS
-from ..lp import DUAL_BACKENDS, LinearProgram, LPSolution, LPStatus, Sense, get_backend
+from ..lp import BACKENDS, LinearProgram, LPSolution, LPStatus, Sense
 from .calibration_points import potential_calibration_points
 from .tise import tise_feasible_range
 
@@ -129,10 +127,9 @@ class TiseLPSolution:
     ``rounds``, ``phase1_rounds``, ``points_pool`` (candidate pool size) and
     ``points`` (final ``|S|``); it is empty for trivial instances.
 
-    ``solver`` is the backend's numeric telemetry (``iterations``,
-    ``refactorizations`` and ``solve_ms`` summed over rounds, plus
-    ``pricing_ms``) — ``compare=False``: two solves of the same instance are
-    equal however they were reached.
+    ``solver`` is HiGHS's numeric telemetry (``iterations`` and ``solve_ms``
+    summed over rounds, plus ``pricing_ms``) — ``compare=False``: two solves
+    of the same instance are equal however they were reached.
     """
 
     objective: float
@@ -284,8 +281,8 @@ def build_tise_lp(
     The literal transcription over ``points`` (default: the whole Lemma 3
     set), whose variables are exactly the ``C_t``/``X_jt`` that structural
     tools (witness encoders, the MILP bound) index.  ``names=False`` skips
-    all variable/constraint name-string construction, which the solver
-    backends never need.
+    all variable/constraint name-string construction, which HiGHS never
+    needs.
     """
     T = calibration_length
     if points is None:
@@ -338,7 +335,6 @@ class _PointGeneration:
         T: float,
         machine_budget: int,
         pool: tuple[float, ...],
-        backend: str,
         names: bool,
         deadline: float | None,
     ) -> None:
@@ -346,7 +342,6 @@ class _PointGeneration:
         self.T = T
         self.machine_budget = machine_budget
         self.pool = pool
-        self.backend = backend
         self.names = names
         self.deadline = deadline
         ranges = [tise_feasible_range(job, pool, T) for job in jobs]
@@ -375,12 +370,12 @@ class _PointGeneration:
             limit = self.deadline - time.perf_counter()
         # Looked up per round, so a swapped registry entry (fault injection,
         # tracing) sees every round.
-        solution = get_backend(self.backend)(model.lp, time_limit=limit)
+        solution = BACKENDS["highs"](model.lp, time_limit=limit)
         self.rounds += 1
         if phase == "phase1":
             self.phase1_rounds += 1
         for key, value in solution.telemetry().items():
-            if key in ("iterations", "refactorizations", "solve_ms"):
+            if key in ("iterations", "solve_ms"):
                 value += self.telemetry.get(key, 0.0)
             self.telemetry[key] = value
         if solution.status is LPStatus.INFEASIBLE:
@@ -393,7 +388,7 @@ class _PointGeneration:
             raise SolverError(
                 f"TISE LP solve failed: {solution.status.value} {solution.message}",
                 stage="lp",
-                backend=self.backend,
+                backend="highs",
             )
         return _Round(model, solution, x, float(np.sum(x[artificials])))
 
@@ -411,9 +406,9 @@ class _PointGeneration:
         """Add every pool point outside ``S`` that prices out; True if any did."""
         if solution.dual_eq is None or solution.dual_ineq is None:
             raise SolverError(
-                f"LP backend {self.backend!r} returned no duals to price with",
+                "HiGHS returned no duals to price with",
                 stage="lp",
-                backend=self.backend,
+                backend="highs",
             )
         T = self.T
         pool = self.pool_arr
@@ -444,7 +439,6 @@ def solve_tise_lp(
     jobs: Sequence[Job],
     calibration_length: float,
     machine_budget: int,
-    backend: str = "highs",
     points: Sequence[float] | None = None,
     zero_tol: float = 1e-9,
     time_limit: float | None = None,
@@ -459,7 +453,7 @@ def solve_tise_lp(
     docstring).  :class:`InfeasibleInstanceError` means the long-window
     instance is not feasible on ``machine_budget / 3`` machines (Lemma 2
     contrapositive).  ``time_limit`` (seconds) bounds all rounds together:
-    each round's backend solve gets what is left and raises
+    each round's HiGHS solve gets what is left and raises
     :class:`~repro.core.errors.StageTimeoutError` on expiry.  ``names``
     defaults to False here (the models are discarded after the solve, so
     name strings are pure overhead).
@@ -475,23 +469,19 @@ def solve_tise_lp(
     T = calibration_length
     pool = tuple(sorted(points if points is not None else potential_calibration_points(jobs, T)))
     deadline = None if time_limit is None else time.perf_counter() + time_limit
-    gen = _PointGeneration(jobs, T, machine_budget, pool, backend, names, deadline)
+    gen = _PointGeneration(jobs, T, machine_budget, pool, names, deadline)
 
-    if backend not in DUAL_BACKENDS:
-        gen.in_s[:] = True
-        result = gen.solve("final")
-    else:
-        gen.in_s[gen.hi - 1] = True
-        result = gen.converge("phase2")
-        if result.artificial_mass > zero_tol:
-            result = gen.converge("phase1")
-            if result.artificial_mass > LOOSE_EPS:
-                raise InfeasibleInstanceError(
-                    f"TISE LP infeasible on m' = {machine_budget} machines: "
-                    "the long-window instance has no feasible TISE schedule "
-                    f"there (phase 1 optimum {result.artificial_mass:.3g} > 0)"
-                )
-            result = gen.converge("final")
+    gen.in_s[gen.hi - 1] = True
+    result = gen.converge("phase2")
+    if result.artificial_mass > zero_tol:
+        result = gen.converge("phase1")
+        if result.artificial_mass > LOOSE_EPS:
+            raise InfeasibleInstanceError(
+                f"TISE LP infeasible on m' = {machine_budget} machines: "
+                "the long-window instance has no feasible TISE schedule "
+                f"there (phase 1 optimum {result.artificial_mass:.3g} > 0)"
+            )
+        result = gen.converge("final")
 
     model, x = result.model, result.x
     calibrations = {t: float(x[idx]) for t, idx in model.c_vars.items() if x[idx] > zero_tol}

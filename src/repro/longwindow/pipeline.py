@@ -22,12 +22,12 @@ Optionally, step 4 applies the Lemma 13 machine-to-speed transformation to
 reach Theorem 14: ``m`` machines at speed ``36`` with at most ``12 C*``
 calibrations.
 
-Resilience: the LP stage is the pipeline's only numeric-backend dependency,
-so it runs through the resilience layer's fallback chain (default ``highs ->
-simplex``) when a non-strict :class:`~repro.core.resilience.ResiliencePolicy`
-is configured, under the ambient solve budget.  Lemma 2's guarantee is
-backend-agnostic — any optimal LP solution yields the same bounds — so a
-fallback here costs wall time, never correctness.
+Resilience: the LP stage is the pipeline's only numeric-backend dependency.
+It runs HiGHS once through the resilience layer (circuit-breaker gate,
+job-coverage validation, telemetry) under the ambient solve budget.  It has
+no second LP backend: when HiGHS fails, the pipeline raises, and a
+non-strict :class:`~repro.core.solver.ISESolver` replaces the whole
+long-window side with the LP-free lazy TISE greedy, validated before use.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class LongWindowConfig:
     """Tuning knobs for the long-window pipeline.
 
     Attributes:
-        lp_backend: ``"highs"`` (default) or ``"simplex"``.  HiGHS solves
-            the LP by point generation over the Lemma 3 pool (restricted LPs
-            priced with its duals, same optimum as the LP over every point);
-            the simplex returns no duals, so it solves the LP over the whole
-            pool at once.
         lp_names: build the LP with debug variable/constraint names.  Off by
             default — name strings are pure overhead on the hot path.
         rounding_threshold: Algorithm 1 emission threshold (paper: 1/2).
@@ -83,11 +78,10 @@ class LongWindowConfig:
             (feasibility-preserving objective improvement; the raw count is
             still recorded for the Theorem 12 bound check).
         validate: run the independent TISE validator on the output.
-        resilience: failure-handling policy; None means strict (failures
-            propagate, no LP fallback chain).
+        resilience: failure-handling policy (budget and breaker gate);
+            None means strict with no budget.
     """
 
-    lp_backend: str = "highs"
     lp_names: bool = False
     rounding_threshold: float = 0.5
     rounding_scheme: str = "greedy"
@@ -161,7 +155,7 @@ def _check_lp_coverage(jobs, solution: TiseLPSolution) -> None:
     Constraint (4) forces full coverage in any genuine optimum, so a
     violation here means the backend returned garbage (crash recovery,
     numerical breakdown, or an injected fault) — the resilience layer
-    treats it as a failed attempt and moves down the chain.
+    treats it as a failed attempt.
     """
     for job in jobs:
         covered = solution.job_coverage(job.job_id)
@@ -189,8 +183,8 @@ class LongWindowSolver:
             InfeasibleInstanceError: the LP certifies infeasibility on
                 ``m`` machines (via Lemma 2).
             StageTimeoutError: the solve budget expired mid-pipeline.
-            FallbacksExhaustedError: every LP backend in the chain failed
-                (non-strict mode with a configured policy).
+            SolverError: HiGHS failed or returned an invalid LP solution.
+            FallbacksExhaustedError: the breaker gate skipped HiGHS.
         """
         T = instance.calibration_length
         for job in instance.jobs:
@@ -219,34 +213,26 @@ class LongWindowSolver:
             points = potential_calibration_points(instance.jobs, T)
             times["points"] = time.perf_counter() - tic
 
-            def lp_thunk(backend: str):
-                def run() -> TiseLPSolution:
-                    limit: float | None = None
-                    if budget is not None:
-                        remaining = budget.stage_limit("lp")
-                        if remaining != float("inf"):
-                            limit = max(remaining, 0.0)
-                    return solve_tise_lp(
-                        instance.jobs,
-                        T,
-                        m_prime,
-                        backend=backend,
-                        points=points,
-                        time_limit=limit,
-                        names=cfg.lp_names,
-                    )
-
-                return run
+            def solve_lp() -> TiseLPSolution:
+                limit: float | None = None
+                if budget is not None:
+                    remaining = budget.stage_limit("lp")
+                    if remaining != float("inf"):
+                        limit = max(remaining, 0.0)
+                return solve_tise_lp(
+                    instance.jobs,
+                    T,
+                    m_prime,
+                    points=points,
+                    time_limit=limit,
+                    names=cfg.lp_names,
+                )
 
             tic = time.perf_counter()
             lp = run_with_fallbacks(
                 "lp",
-                [
-                    (name, lp_thunk(name))
-                    for name in policy.lp_candidates(cfg.lp_backend)
-                ],
+                [("highs", solve_lp)],
                 report=report,
-                retry=policy.retry,
                 budget=budget,
                 validate=lambda sol: _check_lp_coverage(instance.jobs, sol),
                 gate=policy.gate,

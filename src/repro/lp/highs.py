@@ -1,8 +1,6 @@
 """HiGHS LP backend, driven through SciPy's bundled HiGHS bindings.
 
-This is the default backend for the TISE relaxation; the in-repo
-:mod:`repro.lp.simplex` backend exists as an independently implemented
-substrate and cross-check.
+This is the one LP backend: it solves the TISE relaxation and the MM LPs.
 
 Why not :func:`scipy.optimize.linprog`: since the TISE LP is solved by
 point generation its LPs are small (an online session's replans solve 4 x 3
@@ -32,8 +30,8 @@ objective, both dual vectors and the iteration count are bit-identical
   :class:`StageTimeoutError`; anything else is ERROR.
 * **Post-check.**  ``linprog``'s feasibility check of an "optimal" answer
   (no NaNs, bounds, inequality slack and equality residuals all within
-  ``10 * sqrt(1e-9)``): a failing answer is ERROR, so the backend fallback
-  chain still fires.
+  ``10 * sqrt(1e-9)``): a failing answer is ERROR, so a non-strict solve
+  degrades instead of using it.
 
 A ``_Highs`` object is never shared between calls: serve workers solve on
 threads.

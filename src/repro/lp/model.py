@@ -8,25 +8,22 @@ matrix assembly, so triplets are buffered in flat Python lists and converted
 to numpy arrays once (see the hpc-parallel guide: vectorize the bulk
 operation, not the bookkeeping).
 
-The model is solver-agnostic: :mod:`repro.lp.highs` solves its column-wise
-export (:meth:`LinearProgram.to_colwise`) with HiGHS and
-:mod:`repro.lp.simplex` its row blocks (:meth:`LinearProgram.to_standard_arrays`)
-with the in-repo revised simplex.  Both return an :class:`LPSolution`.
+:mod:`repro.lp.highs` solves the column-wise export
+(:meth:`LinearProgram.to_colwise`) and returns an :class:`LPSolution`; the
+row blocks of :meth:`LinearProgram.to_standard_arrays` serve SciPy's MILP
+interface and independent checks of a solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from ..core.errors import SolverError
-
-if TYPE_CHECKING:  # annotation only: sentinel imports this module
-    from .sentinel import SentinelReport
 
 __all__ = [
     "Sense",
@@ -62,8 +59,7 @@ class LPSolution:
     minimized objective value.  Both are None unless ``status`` is OPTIMAL.
 
     ``dual_ineq`` / ``dual_eq`` are the constraint marginals (dual values)
-    in the exported standard-form row order, when the backend provides them
-    (HiGHS does; the in-repo simplex does not).  For a minimization with
+    in the exported standard-form row order.  For a minimization with
     ``A_ub x <= b_ub`` the inequality marginals are nonpositive and, when
     all variable upper bounds are infinite, strong duality reads
     ``objective == b_ub . dual_ineq + b_eq . dual_eq`` — an independently
@@ -74,12 +70,7 @@ class LPSolution:
     are "equal" regardless of how fast they ran):
 
     * ``iterations`` — pivot/bound-flip count (HiGHS: its ``nit``);
-    * ``refactorizations`` — basis factorizations beyond the free identity
-      start (simplex only);
-    * ``solve_ms`` — wall-clock milliseconds inside the backend;
-    * ``sentinel`` — the post-solve numerical-sentinel verdict
-      (:class:`~repro.lp.sentinel.SentinelReport`) for backends that run
-      the residual checks (the revised simplex does); None otherwise.
+    * ``solve_ms`` — wall-clock milliseconds inside the backend.
     """
 
     status: LPStatus
@@ -89,20 +80,14 @@ class LPSolution:
     dual_ineq: np.ndarray | None = None
     dual_eq: np.ndarray | None = None
     iterations: int = field(default=0, compare=False)
-    refactorizations: int = field(default=0, compare=False)
     solve_ms: float = field(default=0.0, compare=False)
-    sentinel: "SentinelReport | None" = field(default=None, compare=False)
 
     def telemetry(self) -> dict[str, float]:
         """The numeric solver counters as a flat JSON-ready mapping."""
-        data = {
+        return {
             "iterations": float(self.iterations),
-            "refactorizations": float(self.refactorizations),
             "solve_ms": float(self.solve_ms),
         }
-        if self.sentinel is not None:
-            data.update(self.sentinel.telemetry())
-        return data
 
     def dual_objective(
         self, b_ub: np.ndarray | None, b_eq: np.ndarray | None

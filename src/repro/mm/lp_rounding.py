@@ -26,7 +26,7 @@ from ..core.errors import SolverError
 from ..core.job import Job
 from ..core.schedule import ScheduledJob
 from ..core.tolerance import EPS, geq, leq
-from ..lp import LinearProgram, Sense, get_backend
+from ..lp import BACKENDS, LinearProgram, Sense
 from .base import MMSchedule, check_mm, color_intervals, max_overlap
 
 __all__ = ["LPRoundingMM", "fractional_mm_value", "candidate_starts"]
@@ -83,14 +83,12 @@ def _build_lp(
     return lp, var_of, w_var
 
 
-def fractional_mm_value(
-    jobs: Sequence[Job], speed: float = 1.0, backend: str = "highs"
-) -> float:
+def fractional_mm_value(jobs: Sequence[Job], speed: float = 1.0) -> float:
     """The LP optimum ``w_LP`` (a lower bound on the discretized MM optimum)."""
     if not jobs:
         return 0.0
     lp, _, _ = _build_lp(jobs, speed)
-    solution = get_backend(backend)(lp)
+    solution = BACKENDS["highs"](lp)
     if not solution.ok:
         raise SolverError(
             f"MM LP unexpectedly {solution.status.value}: {solution.message}"
@@ -105,12 +103,10 @@ class LPRoundingMM:
     Attributes:
         trials: number of randomized rounding trials (best kept).
         seed: RNG seed for reproducibility.
-        backend: LP backend name.
     """
 
     trials: int = 25
     seed: int = 0
-    backend: str = "highs"
 
     name: str = "lp_rounding"
 
@@ -119,7 +115,7 @@ class LPRoundingMM:
         if not jobs:
             return MMSchedule(placements=(), num_machines=0, speed=speed)
         lp, var_of, _ = _build_lp(jobs, speed)
-        solution = get_backend(self.backend)(lp)
+        solution = BACKENDS["highs"](lp)
         if not solution.ok or solution.x is None:
             raise SolverError(
                 f"MM LP unexpectedly {solution.status.value}: {solution.message}"

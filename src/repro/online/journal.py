@@ -52,6 +52,10 @@ __all__ = ["SESSION_JOURNAL_VERSION", "SessionJournal", "SessionJournalState"]
 
 SESSION_JOURNAL_VERSION = 1
 
+#: The LP backend every header names.  HiGHS is the only LP backend, so a
+#: header naming another one was written by a build whose solver is gone.
+HEADER_LP_BACKEND = "highs"
+
 #: Record kinds that may follow the header.
 _RECORD_KINDS = ("fence", "job", "advance", "commit")
 
@@ -122,7 +126,6 @@ class SessionJournal:
         calibration_length: float,
         commit_horizon: float,
         mm_algorithm: str,
-        lp_backend: str,
     ) -> None:
         """Start a fresh journal; refuses to clobber an existing one."""
         if self.path.exists():
@@ -144,7 +147,7 @@ class SessionJournal:
                 "calibration_length": calibration_length,
                 "commit_horizon": commit_horizon,
                 "mm_algorithm": mm_algorithm,
-                "lp_backend": lp_backend,
+                "lp_backend": HEADER_LP_BACKEND,
             },
             append=False,
         )

@@ -53,6 +53,7 @@ from typing import Any, Iterable, Mapping
 from ..core.calibration import Calibration, CalibrationSchedule
 from ..core.errors import (
     CommitRetractionError,
+    InvalidArtifactError,
     InvalidInstanceError,
     SessionConflictError,
 )
@@ -60,7 +61,7 @@ from ..core.job import Instance, Job
 from ..core.schedule import Schedule, ScheduledJob, empty_schedule
 from ..core.solver import ISEConfig, solve_ise
 from ..core.tolerance import leq, lt
-from .journal import SessionJournal
+from .journal import HEADER_LP_BACKEND, SessionJournal
 
 __all__ = ["AdvanceResult", "ISESession", "SubmitReceipt"]
 
@@ -215,7 +216,6 @@ class ISESession:
                 calibration_length=calibration_length,
                 commit_horizon=commit_horizon,
                 mm_algorithm=config.mm_algorithm,
-                lp_backend=config.lp_backend,
             )
         session = cls(
             session_id,
@@ -243,7 +243,9 @@ class ISESession:
         witness against the re-derived committed set (raising
         :class:`CommitRetractionError` on any retraction — unreachable
         unless the journal itself was tampered with), heals witness
-        records lost to a crash, and bumps the fencing epoch.
+        records lost to a crash, and bumps the fencing epoch.  A header
+        that names an LP backend other than HiGHS raises
+        :class:`InvalidArtifactError` before anything is replayed.
         """
         journal = SessionJournal(
             cls.journal_path(directory, session_id), sync=sync
@@ -251,11 +253,17 @@ class ISESession:
         state = journal.load()
         header = state.header
         # Solver knobs are pinned in the header so replay re-derives the
-        # exact same schedules the original process computed.
+        # exact same schedules the original process computed.  A header
+        # naming another LP backend cannot be replayed on HiGHS.
+        if header.get("lp_backend") != HEADER_LP_BACKEND:
+            raise InvalidArtifactError(
+                f"session journal names LP backend {header.get('lp_backend')!r}; "
+                f"only {HEADER_LP_BACKEND!r} can replay it",
+                path=journal.path,
+                field="lp_backend",
+            )
         config = replace(
-            config or ISEConfig(),
-            mm_algorithm=str(header["mm_algorithm"]),
-            lp_backend=str(header["lp_backend"]),
+            config or ISEConfig(), mm_algorithm=str(header["mm_algorithm"])
         )
         session = cls(
             str(header["session"]),

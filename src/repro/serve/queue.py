@@ -17,7 +17,8 @@ Each admitted request carries a client deadline converted into a started
 :class:`~repro.core.resilience.SolveBudget` at admission time, so time
 spent *waiting in the queue* counts against the deadline; the worker later
 snapshots the remainder via ``SolveBudget.subbudget()`` and the existing
-budget machinery enforces it all the way down to the simplex pivot loop.
+budget machinery enforces it at every stage of the solve: the HiGHS time
+limit, the MM chains and the exact MM searches.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ long-lived, supervised service:
 * **Deadline propagation** — each request's client deadline becomes a
   :class:`~repro.core.resilience.SolveBudget` started *at admission*; the
   worker snapshots the remainder via ``subbudget()`` into the per-request
-  resilience policy, so the existing budget machinery enforces it all the
-  way down to the simplex pivot loop.
+  resilience policy, so the existing budget machinery enforces it at every
+  stage of the solve: the HiGHS time limit, the MM chains and the exact MM
+  searches.
 * **Circuit breaking** — every fallback-chain attempt feeds the shared
   :class:`~repro.serve.breaker.BreakerBoard`; a backend that keeps failing
   is skipped by subsequent requests until its breaker half-opens.
@@ -24,7 +25,7 @@ long-lived, supervised service:
   :class:`~repro.core.errors.ServiceShutdownError` rather than leaving
   callers hanging.
 
-Every solve request runs the PR-1 degradation ladder (fallback chains, then
+Every solve request runs the degradation ladder (fallback chains, then
 whole-pipeline rescue) unless the service config says otherwise, so one
 poisoned request costs quality, never availability.
 """
@@ -48,7 +49,7 @@ from ..core.errors import (
     StageTimeoutError,
 )
 from ..core.job import Instance
-from ..core.resilience import ResiliencePolicy, RetryPolicy, SolveBudget
+from ..core.resilience import ResiliencePolicy, SolveBudget
 from ..core.solver import ISEConfig, solve_ise
 from .breaker import BreakerBoard
 from .queue import AdmissionQueue, SolveRequest
@@ -87,7 +88,6 @@ class ServiceConfig:
         breaker_failure_threshold / breaker_reset_timeout /
         breaker_half_open_trials: circuit-breaker tuning, shared by every
             per-backend breaker on the board.
-        retry: per-candidate retry/backoff policy for fallback chains.
         idempotency_capacity: how many recent client ``request_id``s the
             service remembers for duplicate-submission dedupe (bounded
             LRU; 0 disables the cache entirely).
@@ -110,7 +110,6 @@ class ServiceConfig:
     breaker_failure_threshold: int = 3
     breaker_reset_timeout: float = 30.0
     breaker_half_open_trials: int = 1
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     idempotency_capacity: int = 128
     verify_results: bool = False
 
@@ -444,8 +443,6 @@ class SolveService:
             strict=strict_effective,
             # subbudget(): queue wait already spent part of the deadline.
             budget=request.budget.subbudget(),
-            retry=self.config.retry,
-            lp_chain=base_policy.lp_chain,
             mm_chain=(self.config.shed_mm,) if shed else base_policy.mm_chain,
             pipeline_fallback=base_policy.pipeline_fallback,
             gate=self.breakers,

@@ -30,7 +30,6 @@ from ..core.resilience import (
     FallbackGate,
     ResiliencePolicy,
     ResilienceReport,
-    RetryPolicy,
     budget_scope,
     current_budget,
     run_with_fallbacks,
@@ -68,7 +67,6 @@ def _solve_bucket_mm(
     jobs: tuple[Job, ...],
     speed: float,
     chain: list[tuple[str, "str | MMAlgorithm"]],
-    retry: RetryPolicy,
     gate: FallbackGate | None,
 ) -> tuple[MMSchedule, ResilienceReport]:
     """Run one bucket's MM fallback chain; returns (schedule, report).
@@ -96,7 +94,6 @@ def _solve_bucket_mm(
         "mm",
         [(name, mm_thunk(spec)) for name, spec in chain],
         report=report,
-        retry=retry,
         budget=budget,
         validate=lambda s: check_mm(jobs, s, context="short-window MM output"),
         gate=gate,
@@ -237,7 +234,7 @@ class ShortWindowSolver:
             mm_schedules: list[MMSchedule] = []
             for bucket in partition.buckets:
                 mm_schedule, bucket_report = _solve_bucket_mm(
-                    bucket.jobs, cfg.speed, chain, policy.retry, policy.gate
+                    bucket.jobs, cfg.speed, chain, policy.gate
                 )
                 report.merge(bucket_report)
                 mm_schedules.append(mm_schedule)

@@ -100,8 +100,8 @@ class FaultPlan:
     Attributes:
         kind: ``"fail"``, ``"garbage"``, or ``"timeout"``.
         at_calls: 1-based call numbers that fault; None means every call.
-            ``at_calls=(1,)`` models a transient failure that a retry or
-            the next fallback candidate survives.
+            ``at_calls=(1,)`` models a transient failure; the stage does
+            not call the backend again, the next fallback candidate answers.
         calls: running call counter (mutated by :meth:`should_fault`), also
             letting tests assert how many times the backend was reached.
     """

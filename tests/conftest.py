@@ -3,19 +3,67 @@
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core import Instance, Job
 
-# Keep hypothesis deterministic and CI-friendly.
+# Keep hypothesis deterministic and CI-friendly: the same examples on every
+# run and host, and no example database carried between runs.
 settings.register_profile(
     "repro",
     deadline=None,
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
+    derandomize=True,
+    database=None,
 )
 settings.load_profile("repro")
+
+
+# ---------------------------------------------------------------------------
+# LP certificates
+# ---------------------------------------------------------------------------
+def lp_dual_bound(lp, solution, tol: float = 1e-9) -> float:
+    """The weak-duality lower bound that ``solution``'s row duals prove.
+
+    With ``y`` the duals of the ``A_ub x <= b_ub`` rows (nonpositive for a
+    minimization), ``z`` those of the equality rows and ``r = c - A^T (y, z)``
+    the reduced costs, every feasible ``x`` in the variable box has
+    ``c . x >= b . (y, z) + sum_i min(r_i l_i, r_i u_i)``.  The bound equals
+    the reported objective exactly when the duals certify it optimal; a
+    reduced cost that pushes toward an infinite bound gives ``-inf``.
+    """
+    c, a_ub, b_ub, a_eq, b_eq, lb, ub = lp.to_standard_arrays()
+    reduced = np.array(c, dtype=float)
+    total = 0.0
+    if a_ub is not None:
+        y = solution.dual_ineq
+        assert y is not None and (y <= tol).all(), y
+        reduced -= a_ub.T @ y
+        total += float(b_ub @ y)
+    if a_eq is not None:
+        z = solution.dual_eq
+        assert z is not None
+        reduced -= a_eq.T @ z
+        total += float(b_eq @ z)
+    for r, low, high in zip(reduced, lb, ub):
+        if abs(r) <= tol:
+            continue
+        bound = low if r > 0 else high
+        if not np.isfinite(bound):
+            return float("-inf")
+        total += float(r * bound)
+    return total
+
+
+def assert_lp_certified(lp, solution, tol: float = 1e-6) -> None:
+    """``solution`` is primal feasible and its duals prove its objective."""
+    assert solution.ok, solution.message
+    assert lp.constraint_violation(solution.x) < tol
+    assert lp.objective_value(solution.x) == pytest.approx(solution.objective, abs=tol)
+    assert lp_dual_bound(lp, solution) == pytest.approx(solution.objective, abs=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,8 @@ def test_injected_dropped_budget_is_caught(inject) -> None:
     """Omitting budget= on a budget-accepting callee is flagged at the call."""
     result = inject(
         "shortwindow/pipeline.py",
-        "        retry=retry,\n        budget=budget,\n",
-        "        retry=retry,\n",
+        "        report=report,\n        budget=budget,\n",
+        "        report=report,\n",
         code="ISE104",
     )
     (finding,) = result.diagnostics

@@ -113,11 +113,3 @@ class TestAgainstWitness:
         sol = solve_tise_lp(gen.instance.jobs, 10.0, machine_budget=3)
         for job in gen.instance.jobs:
             assert sol.job_coverage(job.job_id) == pytest.approx(1.0, abs=1e-6)
-
-    def test_simplex_backend_agrees(self):
-        gen = long_window_instance(
-            n=5, machines=1, calibration_length=10.0, seed=0
-        )
-        h = solve_tise_lp(gen.instance.jobs, 10.0, 3, backend="highs")
-        s = solve_tise_lp(gen.instance.jobs, 10.0, 3, backend="simplex")
-        assert s.objective == pytest.approx(h.objective, abs=1e-6)

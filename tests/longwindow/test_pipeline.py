@@ -48,12 +48,6 @@ class TestTheorem12Bounds:
 
 
 class TestConfig:
-    def test_simplex_backend(self):
-        gen = long_window_instance(n=5, machines=1, calibration_length=10.0, seed=2)
-        cfg = LongWindowConfig(lp_backend="simplex")
-        result = LongWindowSolver(cfg).solve(gen.instance)
-        assert validate_tise(gen.instance, result.schedule).ok
-
     def test_no_pruning_keeps_mirror_count(self):
         gen = long_window_instance(n=6, machines=1, calibration_length=10.0, seed=0)
         result = LongWindowSolver(

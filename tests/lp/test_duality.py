@@ -55,14 +55,3 @@ def test_tise_lp_duality_certificate(seed):
     assert dual is not None
     assert dual == pytest.approx(solution.objective, abs=1e-6)
 
-
-def test_duals_absent_from_simplex_backend():
-    from repro.lp import solve_simplex
-
-    lp = LinearProgram()
-    x = lp.add_variable(objective=1.0)
-    lp.add_constraint([(x, 1.0)], Sense.GE, 2.0)
-    solution = solve_simplex(lp)
-    assert solution.ok
-    assert solution.dual_ineq is None
-    assert solution.dual_objective(None, None) is None

@@ -244,3 +244,36 @@ def test_unknown_sync_policy_is_rejected(tmp_path: Path) -> None:
         ISESession.create(
             tmp_path, "bad", machines=1, calibration_length=6.0, sync="lazy"
         )
+
+
+def test_journal_header_names_highs(tmp_path: Path) -> None:
+    import json
+
+    ISESession.create(tmp_path, "hdr", machines=1, calibration_length=5.0).close()
+    path = ISESession.journal_path(tmp_path, "hdr")
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["kind"] == "header"
+    assert header["lp_backend"] == "highs"
+
+
+def test_open_refuses_a_header_naming_another_lp_backend(tmp_path: Path) -> None:
+    """A journal whose header names a removed LP backend is not replayed."""
+    import json
+
+    from repro.core.checkpoint import journal_payload
+    from repro.core.errors import InvalidArtifactError
+
+    session = ISESession.create(tmp_path, "old", machines=1, calibration_length=6.0)
+    session.submit_job(1, release=0.0, deadline=12.0, processing=4.0)
+    session.close()
+    path = ISESession.journal_path(tmp_path, "old")
+    lines = path.read_bytes().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header.pop("sha")
+    header["lp_backend"] = "simplex"  # hand-edited, then re-checksummed
+    path.write_bytes(journal_payload([header]) + b"".join(lines[1:]))
+
+    with pytest.raises(InvalidArtifactError) as excinfo:
+        ISESession.open(tmp_path, "old")
+    assert excinfo.value.field == "lp_backend"
+    assert "simplex" in str(excinfo.value)

@@ -32,7 +32,7 @@ from repro.longwindow import (
 from repro.longwindow.lp_relaxation import _knapsack_values
 from repro.lp import LPStatus, get_backend
 from repro.theory.checks import check_theorem12
-from tests.conftest import jobs_strategy
+from tests.conftest import assert_lp_certified, jobs_strategy
 
 REL = 1e-7
 
@@ -153,14 +153,15 @@ def test_near_zero_time_limit_times_out():
 
 
 @pytest.mark.parametrize("n,seed", [(6, 0), (9, 1), (12, 2)])
-def test_simplex_matches_highs(n, seed):
-    # The simplex returns no duals, so it solves the LP over the whole pool.
+def test_full_lp_optimum_is_dual_certified(n, seed):
+    # The oracle is itself checked: its row duals prove its optimum, so the
+    # point-generated value matches a certified number, not just HiGHS.
     instance = long_window_instance(n, 1, 10.0, seed).instance
-    highs = solve_tise_lp(instance.jobs, 10.0, 3, backend="highs")
-    simplex = solve_tise_lp(instance.jobs, 10.0, 3, backend="simplex")
-    assert simplex.objective == pytest.approx(highs.objective, rel=REL, abs=REL)
-    assert simplex.stats["rounds"] == 1
-    assert simplex.stats["points"] == simplex.stats["points_pool"]
+    model = build_tise_lp(instance.jobs, 10.0, 3, names=False)
+    full = get_backend("highs")(model.lp)
+    assert_lp_certified(model.lp, full)
+    generated = solve_tise_lp(instance.jobs, 10.0, 3)
+    assert generated.objective == pytest.approx(full.objective, rel=REL, abs=REL)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -1,4 +1,4 @@
-"""Unit tests for solve budgets, ambient scopes, retries, and reports.
+"""Unit tests for solve budgets, ambient scopes, policies, and reports.
 
 All timing tests use :class:`repro.testing.FakeClock` — no sleeping, no
 wall-clock dependence.
@@ -12,7 +12,6 @@ from repro.core.errors import StageTimeoutError
 from repro.core.resilience import (
     ResiliencePolicy,
     ResilienceReport,
-    RetryPolicy,
     SolveBudget,
     StageAttempt,
     budget_scope,
@@ -128,35 +127,13 @@ class TestBudgetScope:
             assert exc_info.value.backend == "exact"
 
 
-class TestRetryPolicy:
-    def test_first_attempt_never_sleeps(self):
-        naps: list[float] = []
-        RetryPolicy(attempts=3, backoff=1.0, sleep=naps.append).pause_before(1)
-        assert naps == []
-
-    def test_backoff_doubles_per_retry(self):
-        naps: list[float] = []
-        policy = RetryPolicy(attempts=4, backoff=0.5, sleep=naps.append)
-        for attempt in (2, 3, 4):
-            policy.pause_before(attempt)
-        assert naps == [0.5, 1.0, 2.0]
-
-    def test_zero_backoff_never_sleeps(self):
-        naps: list[float] = []
-        RetryPolicy(attempts=3, backoff=0.0, sleep=naps.append).pause_before(2)
-        assert naps == []
-
-
 class TestResiliencePolicy:
     def test_strict_chains_are_primary_only(self):
         policy = ResiliencePolicy(strict=True)
-        assert policy.lp_candidates("highs") == ("highs",)
         assert policy.mm_candidates("exact") == ("exact",)
 
     def test_non_strict_appends_default_chain_without_duplicates(self):
         policy = ResiliencePolicy(strict=False)
-        assert policy.lp_candidates("highs") == ("highs", "simplex")
-        assert policy.lp_candidates("simplex") == ("simplex", "highs")
         assert policy.mm_candidates("best_greedy") == (
             "best_greedy",
             "greedy_edf",
@@ -180,16 +157,15 @@ class TestResilienceReport:
     def test_fallback_marks_degraded(self):
         report = ResilienceReport()
         assert not report.degraded
-        report.record_fallback("lp", "highs", "simplex")
+        report.record_fallback("mm", "best_greedy", "greedy_edf")
         assert report.degraded
-        assert report.fallbacks == ["lp: highs -> simplex"]
+        assert report.fallbacks == ["mm: best_greedy -> greedy_edf"]
 
-    def test_retry_and_failure_counters(self):
+    def test_failure_counter(self):
         report = ResilienceReport()
-        report.record(StageAttempt("lp", "highs", "failed", attempt=1))
-        report.record(StageAttempt("lp", "highs", "ok", attempt=2))
+        report.record(StageAttempt("mm", "best_greedy", "failed"))
+        report.record(StageAttempt("mm", "greedy_edf", "ok"))
         assert report.num_failures == 1
-        assert report.num_retries == 1
 
     def test_merge_folds_sub_reports(self):
         outer, inner = ResilienceReport(), ResilienceReport()
@@ -204,12 +180,12 @@ class TestResilienceReport:
         report = ResilienceReport()
         assert "clean" in report.summary()
         report.record(
-            StageAttempt("lp", "highs", "timeout", error="deadline", elapsed=2.0)
+            StageAttempt("mm", "best_greedy", "timeout", error="deadline", elapsed=2.0)
         )
-        report.record_fallback("lp", "highs", "simplex")
+        report.record_fallback("mm", "best_greedy", "greedy_edf")
         summary = report.summary()
         assert "degraded" in summary
-        assert "highs -> simplex" in summary
+        assert "best_greedy -> greedy_edf" in summary
         payload = report.to_dict()
         assert payload["degraded"] is True
         assert payload["attempts"][0]["outcome"] == "timeout"

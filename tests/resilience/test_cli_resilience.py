@@ -49,7 +49,7 @@ class TestNoStrict:
         assert code == 0
         out = capsys.readouterr().out
         assert "DEGRADED" in out
-        assert "highs -> simplex" in out
+        assert "theorem12 -> greedy_tise" in out
 
     def test_expired_timeout_non_strict_degrades_and_exits_zero(
         self, instance_path, capsys

@@ -72,7 +72,7 @@ class TestHierarchy:
         assert issubclass(FallbacksExhaustedError, SolverError)
 
     def test_fallbacks_exhausted_carries_attempts_and_cause(self):
-        cause = SolverError("inner", backend="simplex")
+        cause = SolverError("inner", backend="greedy_edf")
         err = FallbacksExhaustedError(
             "all died",
             attempts=("a1", "a2"),

@@ -12,7 +12,6 @@ from repro.core.errors import (
 )
 from repro.core.resilience import (
     ResilienceReport,
-    RetryPolicy,
     SolveBudget,
     run_with_fallbacks,
 )
@@ -27,7 +26,7 @@ class TestHappyPath:
     def test_primary_success_records_one_clean_attempt(self):
         report = ResilienceReport()
         result = run_with_fallbacks(
-            "lp", [("highs", lambda: _ok())], report=report
+            "mm", [("best_greedy", lambda: _ok())], report=report
         )
         assert result == "answer"
         assert [a.outcome for a in report.attempts] == ["ok"]
@@ -35,7 +34,7 @@ class TestHappyPath:
 
     def test_no_candidates_is_a_usage_error(self):
         with pytest.raises(ValueError):
-            run_with_fallbacks("lp", [], report=ResilienceReport())
+            run_with_fallbacks("mm", [], report=ResilienceReport())
 
 
 class TestFallbacks:
@@ -43,16 +42,16 @@ class TestFallbacks:
         report = ResilienceReport()
 
         def boom():
-            raise SolverError("no", stage="lp", backend="highs")
+            raise SolverError("no", stage="mm", backend="best_greedy")
 
         result = run_with_fallbacks(
-            "lp",
-            [("highs", boom), ("simplex", lambda: _ok("fallback"))],
+            "mm",
+            [("best_greedy", boom), ("greedy_edf", lambda: _ok("fallback"))],
             report=report,
         )
         assert result == "fallback"
         assert [a.outcome for a in report.attempts] == ["failed", "ok"]
-        assert report.fallbacks == ["lp: highs -> simplex"]
+        assert report.fallbacks == ["mm: best_greedy -> greedy_edf"]
         assert report.degraded
 
     def test_non_repro_crash_is_wrapped_and_survivable(self):
@@ -62,7 +61,7 @@ class TestFallbacks:
             raise ZeroDivisionError("backend blew up")
 
         result = run_with_fallbacks(
-            "lp", [("highs", crash), ("simplex", _ok)], report=report
+            "mm", [("best_greedy", crash), ("greedy_edf", _ok)], report=report
         )
         assert result == "answer"
         assert "ZeroDivisionError" in report.attempts[0].error
@@ -75,10 +74,10 @@ class TestFallbacks:
 
         with pytest.raises(FallbacksExhaustedError) as exc_info:
             run_with_fallbacks(
-                "lp", [("highs", boom), ("simplex", boom)], report=report
+                "mm", [("best_greedy", boom), ("greedy_edf", boom)], report=report
             )
         err = exc_info.value
-        assert err.stage == "lp"
+        assert err.stage == "mm"
         assert len(err.attempts) == 2
         assert isinstance(err.last_error, SolverError)
 
@@ -91,10 +90,10 @@ class TestFallbacks:
         never_called = []
         with pytest.raises(InfeasibleInstanceError):
             run_with_fallbacks(
-                "lp",
+                "mm",
                 [
-                    ("highs", infeasible),
-                    ("simplex", lambda: never_called.append(1)),
+                    ("best_greedy", infeasible),
+                    ("greedy_edf", lambda: never_called.append(1)),
                 ],
                 report=report,
             )
@@ -103,14 +102,14 @@ class TestFallbacks:
 
 class TestStrictSingleShot:
     def test_single_candidate_reraises_the_original_error(self):
-        original = StageTimeoutError("slow", stage="lp", backend="highs")
+        original = StageTimeoutError("slow", stage="mm", backend="best_greedy")
 
         def boom():
             raise original
 
         with pytest.raises(StageTimeoutError) as exc_info:
             run_with_fallbacks(
-                "lp", [("highs", boom)], report=ResilienceReport()
+                "mm", [("best_greedy", boom)], report=ResilienceReport()
             )
         assert exc_info.value is original  # identity, not a re-wrap
 
@@ -118,15 +117,15 @@ class TestStrictSingleShot:
         report = ResilienceReport()
         with pytest.raises(SolverError):
             run_with_fallbacks(
-                "lp",
-                [("highs", lambda: (_ for _ in ()).throw(SolverError("no")))],
+                "mm",
+                [("best_greedy", lambda: (_ for _ in ()).throw(SolverError("no")))],
                 report=report,
             )
         assert [a.outcome for a in report.attempts] == ["failed"]
 
 
-class TestRetries:
-    def test_transient_failure_recovers_on_retry(self):
+class TestOneTryPerCandidate:
+    def test_transient_failure_is_rescued_by_the_next_candidate(self):
         report = ResilienceReport()
         state = {"calls": 0}
 
@@ -137,34 +136,32 @@ class TestRetries:
             return "recovered"
 
         result = run_with_fallbacks(
-            "lp",
-            [("highs", flaky)],
+            "mm",
+            [("best_greedy", flaky), ("greedy_edf", lambda: _ok("fallback"))],
             report=report,
-            retry=RetryPolicy(attempts=2),
         )
-        assert result == "recovered"
-        assert [(a.outcome, a.attempt) for a in report.attempts] == [
-            ("failed", 1),
-            ("ok", 2),
-        ]
-        assert report.num_retries == 1
-        assert not report.degraded  # same backend, so not a fallback
+        assert result == "fallback"
+        assert state["calls"] == 1  # the primary is not tried again
+        assert [a.outcome for a in report.attempts] == ["failed", "ok"]
+        assert report.fallbacks == ["mm: best_greedy -> greedy_edf"]
 
-    def test_backoff_sleeps_between_retries_only(self):
-        naps: list[float] = []
+    def test_each_candidate_is_tried_once(self):
+        calls: list[str] = []
 
-        def boom():
-            raise SolverError("no")
+        def boom(name):
+            def run():
+                calls.append(name)
+                raise SolverError("no")
+
+            return run
 
         with pytest.raises(FallbacksExhaustedError):
             run_with_fallbacks(
-                "lp",
-                [("highs", boom), ("simplex", boom)],
+                "mm",
+                [("best_greedy", boom("best_greedy")), ("greedy_edf", boom("greedy_edf"))],
                 report=ResilienceReport(),
-                retry=RetryPolicy(attempts=2, backoff=0.25, sleep=naps.append),
             )
-        # One backoff nap per candidate's second attempt.
-        assert naps == [0.25, 0.25]
+        assert calls == ["best_greedy", "greedy_edf"]
 
 
 class TestValidation:
@@ -176,8 +173,8 @@ class TestValidation:
                 raise SolverError("does not cover the jobs")
 
         result = run_with_fallbacks(
-            "lp",
-            [("highs", lambda: "garbage"), ("simplex", _ok)],
+            "mm",
+            [("best_greedy", lambda: "garbage"), ("greedy_edf", _ok)],
             report=report,
             validate=validate,
         )
@@ -195,8 +192,8 @@ class TestValidation:
 
         with pytest.raises(FallbacksExhaustedError):
             run_with_fallbacks(
-                "lp",
-                [("highs", lambda: object()), ("simplex", boom)],
+                "mm",
+                [("best_greedy", lambda: object()), ("greedy_edf", boom)],
                 report=report,
                 validate=validate,
             )
@@ -212,8 +209,8 @@ class TestBudgetInteraction:
         called = []
         with pytest.raises(StageTimeoutError):
             run_with_fallbacks(
-                "lp",
-                [("highs", lambda: called.append(1))],
+                "mm",
+                [("best_greedy", lambda: called.append(1))],
                 report=ResilienceReport(),
                 budget=budget,
             )
@@ -225,17 +222,17 @@ class TestBudgetInteraction:
 
         def slow():
             clock.advance(5.0)  # the "work" blows the global deadline
-            raise StageTimeoutError("deadline", stage="lp", backend="highs")
+            raise StageTimeoutError("deadline", stage="mm", backend="best_greedy")
 
         called = []
         with pytest.raises(StageTimeoutError):
             run_with_fallbacks(
-                "lp",
-                [("highs", slow), ("simplex", lambda: called.append(1))],
+                "mm",
+                [("best_greedy", slow), ("greedy_edf", lambda: called.append(1))],
                 report=ResilienceReport(),
                 budget=budget,
             )
-        assert called == []  # no point running simplex with no time left
+        assert called == []  # no point running greedy_edf with no time left
 
     def test_simulated_timeout_with_time_remaining_falls_back(self):
         # A StageTimeoutError raised while the global budget still has time
@@ -245,15 +242,15 @@ class TestBudgetInteraction:
         budget = SolveBudget(wall_clock=100.0, clock=clock).start()
 
         def fake_timeout():
-            raise StageTimeoutError("stage cap", stage="lp", backend="highs")
+            raise StageTimeoutError("stage cap", stage="mm", backend="best_greedy")
 
         report = ResilienceReport()
         result = run_with_fallbacks(
-            "lp",
-            [("highs", fake_timeout), ("simplex", _ok)],
+            "mm",
+            [("best_greedy", fake_timeout), ("greedy_edf", _ok)],
             report=report,
             budget=budget,
         )
         assert result == "answer"
         assert report.attempts[0].outcome == "timeout"
-        assert report.fallbacks == ["lp: highs -> simplex"]
+        assert report.fallbacks == ["mm: best_greedy -> greedy_edf"]

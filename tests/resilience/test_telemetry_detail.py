@@ -1,7 +1,7 @@
 """Per-attempt backend telemetry: the ``detail`` field on StageAttempt.
 
 ``run_with_fallbacks(..., telemetry=...)`` extracts solver counters (LP
-iterations, refactorizations, ...) from a successful result and attaches
+iterations, solve milliseconds) from a successful result and attaches
 them to the ``ok`` attempt record, where the serve layer and benches read
 them back.  Telemetry is observability, never control flow: a hook that
 raises must be swallowed, and the counters must reach the report's
@@ -22,11 +22,9 @@ from repro.core.resilience import (
 class TestDetailSerialization:
     def test_to_dict_carries_the_counters(self):
         report = ResilienceReport()
-        detail = {"iterations": 42.0, "refactorizations": 1.0}
+        detail = {"iterations": 42.0, "solve_ms": 1.0}
         report.record(
-            StageAttempt(
-                "lp", "simplex", "ok", attempt=1, elapsed=0.25, detail=detail
-            )
+            StageAttempt("lp", "highs", "ok", elapsed=0.25, detail=detail)
         )
         payload = report.to_dict()
         assert payload["attempts"][0]["detail"] == detail
@@ -45,7 +43,7 @@ class TestTelemetryHook:
         report = ResilienceReport()
         result = run_with_fallbacks(
             "lp",
-            [("simplex", lambda: "answer")],
+            [("highs", lambda: "answer")],
             report=report,
             telemetry=lambda r: {"iterations": 7, "solve_ms": 1.5},
         )
@@ -61,8 +59,8 @@ class TestTelemetryHook:
             raise RuntimeError("no")
 
         result = run_with_fallbacks(
-            "lp",
-            [("highs", boom), ("simplex", lambda: "fallback")],
+            "mm",
+            [("best_greedy", boom), ("greedy_edf", lambda: "fallback")],
             report=report,
             telemetry=lambda r: {"iterations": 3},
         )
@@ -79,7 +77,7 @@ class TestTelemetryHook:
 
         result = run_with_fallbacks(
             "lp",
-            [("simplex", lambda: object())],
+            [("highs", lambda: object())],
             report=report,
             telemetry=bad_hook,
         )
@@ -90,5 +88,5 @@ class TestTelemetryHook:
 
     def test_no_hook_means_empty_detail(self):
         report = ResilienceReport()
-        run_with_fallbacks("lp", [("simplex", lambda: 1)], report=report)
+        run_with_fallbacks("lp", [("highs", lambda: 1)], report=report)
         assert report.attempts[0].detail == {}

@@ -1,10 +1,12 @@
 """Chaos tests: the full service under misbehaving backends and load.
 
-Three acceptance scenarios from the serve milestone:
+Four acceptance scenarios from the serve milestone:
 
 * a failing/stalling MM backend trips its circuit breaker and later
   requests are routed around it (``skipped`` attempts, not repeated
   failures) while every solve still succeeds within its deadline;
+* a failing HiGHS LP on a long-window request is answered inside the
+  request's deadline by the LP-free greedy rescue, certified;
 * a thundering herd against a tiny queue yields *typed* rejections
   (:class:`OverloadError`) and zero crashes, and the service stays
   healthy afterwards;
@@ -21,6 +23,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 from pathlib import Path
 
@@ -29,9 +32,14 @@ import pytest
 from repro.core import OverloadError
 from repro.core.solver import ISEConfig
 from repro.core.validate import check_ise
-from repro.instances import instance_to_dict, mixed_instance, short_window_instance
+from repro.instances import (
+    instance_to_dict,
+    long_window_instance,
+    mixed_instance,
+    short_window_instance,
+)
 from repro.serve import ServiceConfig, SolveService
-from repro.testing.faults import FaultPlan, inject_mm_fault
+from repro.testing.faults import FaultPlan, inject_lp_fault, inject_mm_fault
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -98,6 +106,33 @@ def test_breaker_probe_recovers_after_the_fault_clears() -> None:
         assert service.breakers.states()["mm:best_greedy"] == "closed"
     finally:
         service.shutdown()
+
+
+@pytest.mark.parametrize("kind", ["fail", "timeout", "garbage"])
+def test_lp_fault_on_long_request_is_rescued_inside_its_deadline(kind: str) -> None:
+    """HiGHS down at long n=64: a certified greedy answer before the deadline.
+
+    The whole-side rescue (``lazy_tise_greedy``) is the LP stage's only
+    fallback; it must answer within the request's deadline, not after it.
+    """
+    instance = long_window_instance(64, 2, 10.0, seed=1).instance
+    deadline = 5.0
+    service = SolveService(ServiceConfig(workers=1, verify_results=True)).start()
+    try:
+        with inject_lp_fault("highs", FaultPlan(kind)) as plan:
+            tic = time.monotonic()
+            outcome = service.solve(instance, deadline=deadline, timeout=60.0)
+            elapsed = time.monotonic() - tic
+        assert plan.calls >= 1
+    finally:
+        service.shutdown()
+    assert elapsed < deadline, f"answered after {elapsed:.1f}s"
+    result = outcome.result
+    assert result.degraded
+    assert result.certificate is not None and result.certificate.ok
+    check_ise(instance, result.schedule, context="served LP chaos")
+    assert result.resilience is not None
+    assert "long_pipeline: theorem12 -> greedy_tise" in result.resilience.fallbacks
 
 
 def test_concurrent_overload_yields_only_typed_rejections() -> None:

@@ -21,7 +21,7 @@ def _service(**overrides) -> SolveService:
     config = ServiceConfig(
         workers=1,
         queue_capacity=4,
-        solver=ISEConfig(lp_backend="simplex"),
+        solver=ISEConfig(),
         **overrides,
     )
     return SolveService(config)
