@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import InvalidScheduleError
@@ -53,6 +54,11 @@ class Calibration:
         )
 
 
+calibration_order = attrgetter("start", "machine")
+"""Sort key for :class:`Calibration`: its dataclass order, compared as one
+tuple rather than through a Python ``__lt__`` call per comparison."""
+
+
 @dataclass(frozen=True)
 class CalibrationSchedule:
     """A set of calibrations together with the machine pool size.
@@ -68,7 +74,9 @@ class CalibrationSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "calibrations", tuple(sorted(self.calibrations))
+            self,
+            "calibrations",
+            tuple(sorted(self.calibrations, key=calibration_order)),
         )
         if self.num_machines < 0:
             raise InvalidScheduleError(

@@ -15,11 +15,12 @@ them out over a process pool with a strict contract:
   :func:`~repro.core.resilience.budget_scope` inside the worker, so
   deadlines keep firing inside pooled solves.
 * **Observable fallback.**  Anything that prevents pooled execution — pool
-  creation failing (sandboxes), unpicklable tasks, a broken pool —
-  degrades to the serial path rather than erroring.  The degradation is
-  *not* silent: a :class:`ParallelFallbackWarning` is emitted and the
-  reason is recorded on the :func:`last_fallback_reason` hook so chaos
-  tests and sweep reports can assert on it.
+  creation failing (sandboxes), unpicklable tasks, a broken pool outside
+  ``return_exceptions`` — degrades to the serial path rather than
+  erroring.  The degradation is *not* silent: a
+  :class:`ParallelFallbackWarning` is emitted and the reason is recorded
+  on the :func:`last_fallback_reason` hook so chaos tests and sweep
+  reports can assert on it.
 * **Incremental observation.**  ``on_result`` is invoked once per input
   index, in input order, as results become available — the hook the
   checkpoint layer (:mod:`repro.core.checkpoint`) uses to journal each
@@ -125,6 +126,28 @@ def _serial_map(
     return out
 
 
+def _submit(
+    pool: ProcessPoolExecutor,
+    payload: tuple[Callable[[ItemT], ResultT], ItemT, SolveBudget | None],
+    return_exceptions: bool,
+) -> Future[ResultT]:
+    """Submit one task to ``pool``.
+
+    A worker that died while earlier tasks ran breaks the pool, and every
+    later ``submit`` raises.  Under ``return_exceptions`` that error fills
+    this slot, as it fills the slots of the tasks the dead worker took
+    down, so a caller can retry each slot rather than the whole map.
+    """
+    try:
+        return pool.submit(_run_with_budget, payload)
+    except BrokenExecutor as exc:
+        if not return_exceptions:
+            raise
+        failed: Future[ResultT] = Future()
+        failed.set_exception(exc)
+        return failed
+
+
 def _collect(
     futures: Sequence[Future[ResultT]],
     return_exceptions: bool,
@@ -170,7 +193,9 @@ def parallel_map(
     ``on_result(index, value)`` is invoked once per input index, in input
     order, as soon as that slot's result (or, under ``return_exceptions``,
     exception) is available — never twice for one index, even across a
-    pool-failure rerun.
+    pool-failure rerun.  Under ``return_exceptions`` a worker death is not
+    a pool failure: its ``BrokenExecutor`` is returned in the slot of each
+    task it took down or kept from being submitted.
 
     The pool requires ``fn`` and every item to be picklable (module-level
     functions over frozen dataclasses); anything unpicklable, and any
@@ -191,7 +216,7 @@ def parallel_map(
     delivered = [0]
     try:
         with ProcessPoolExecutor(max_workers=min(max_workers, len(items))) as pool:
-            futures = [pool.submit(_run_with_budget, payload) for payload in payloads]
+            futures = [_submit(pool, payload, return_exceptions) for payload in payloads]
             return _collect(futures, return_exceptions, on_result, delivered)
     except (BrokenExecutor, OSError, pickle.PicklingError, TypeError, AttributeError) as exc:
         # Pool infrastructure failed (sandboxed environment, unpicklable

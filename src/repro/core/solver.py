@@ -432,15 +432,25 @@ class ISESolver:
                     instance.restricted_to(split.short_jobs),
                 )
 
-        merged = long_schedule.merged_with(short_schedule).compact_machines()
+        # Compacting each side, then placing the short side's machines after
+        # the long side's, numbers machines as compacting the union would.
+        merged = long_schedule.compact_machines().merged_with(
+            short_schedule.compact_machines()
+        )
         if cfg.validate:
+            # Each side was checked in full against its own jobs: the
+            # pipelines check their outputs, _degrade checks a rescue.  The
+            # sides sit on disjoint machines, so the union adds one thing
+            # to check: that it places every instance job (the Schedule
+            # constructor already rejects a job placed twice).
             tic = time.perf_counter()
-            check_ise(
-                instance,
-                merged,
-                allow_overlapping_calibrations=cfg.overlapping_calibrations,
-                context="combined solver",
-            )
+            if merged.scheduled_job_ids() != {j.job_id for j in instance.jobs}:
+                check_ise(
+                    instance,
+                    merged,
+                    allow_overlapping_calibrations=cfg.overlapping_calibrations,
+                    context="combined solver",
+                )
             times["validate"] = time.perf_counter() - tic
 
         # The short pipeline already computed the Lemma 18 bound on the same

@@ -24,13 +24,14 @@ allowed layers, and everything *they* allow.  ``forbid`` pairs add
 reachability checks on top of the DAG (used to keep ``devtools`` fully
 isolated even through intermediaries).
 
-Parsing uses :mod:`tomllib` when available (Python 3.11+); on 3.10 the
-loader falls back to :func:`FlowConfig.default`, which mirrors the
-committed repository configuration.
+Parsing uses :mod:`tomllib`.  :func:`FlowConfig.default` mirrors the
+committed repository configuration; :meth:`FlowConfig.discover` returns it
+when no configured ``pyproject.toml`` is found.
 """
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -139,10 +140,10 @@ class FlowConfig:
 
     @classmethod
     def default(cls) -> "FlowConfig":
-        """The repository's committed layer DAG (3.10 tomllib fallback).
+        """The repository's committed layer DAG.
 
-        Keep in sync with ``pyproject.toml`` — the loader prefers the TOML
-        and only uses this when :mod:`tomllib` is unavailable.
+        Keep in sync with ``pyproject.toml``: :meth:`discover` uses this
+        when it finds no configured pyproject to read.
         """
         layers = (
             LayerSpec("foundation", ("repro.core", "repro.core.*"), ()),
@@ -296,15 +297,7 @@ class FlowConfig:
 
     @classmethod
     def from_pyproject(cls, path: Path) -> "FlowConfig":
-        """Parse ``[tool.repro-lint]`` out of a ``pyproject.toml``.
-
-        Falls back to :meth:`default` when :mod:`tomllib` is unavailable
-        (Python 3.10) so the analyzer still runs there.
-        """
-        try:
-            import tomllib
-        except ImportError:  # pragma: no cover - py3.10 fallback
-            return cls.default()
+        """Parse ``[tool.repro-lint]`` out of a ``pyproject.toml``."""
         with open(path, "rb") as handle:
             data = tomllib.load(handle)
         section = data.get("tool", {}).get("repro-lint")

@@ -18,7 +18,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 from ..core.errors import InfeasibleScheduleError
 from ..core.job import Job
-from ..core.schedule import ScheduledJob
+from ..core.schedule import ScheduledJob, placement_order
 from ..core.tolerance import EPS, geq, gt, leq
 
 __all__ = ["MMSchedule", "MMAlgorithm", "validate_mm", "check_mm", "max_overlap"]
@@ -39,7 +39,9 @@ class MMSchedule:
     speed: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "placements", tuple(sorted(self.placements)))
+        object.__setattr__(
+            self, "placements", tuple(sorted(self.placements, key=placement_order))
+        )
 
     def __len__(self) -> int:
         return len(self.placements)

@@ -8,7 +8,9 @@ degrades to serial rather than erroring.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -190,6 +192,48 @@ class TestOnResult:
                 on_result=lambda i, v: seen.append(i),
             )
         assert seen == [0, 1, 2]
+
+
+class _BrokenAfterFirstSubmit(ProcessPoolExecutor):
+    """A pool that breaks once its first task is submitted.
+
+    A real pool whose worker died raises ``BrokenProcessPool`` from every
+    later ``submit``; here the break always lands between the first and
+    second submit, where a timing-dependent worker death sometimes does.
+    """
+
+    def submit(self, fn, /, *args, **kwargs):
+        if getattr(self, "_submitted", False):
+            raise BrokenProcessPool("A child process terminated abruptly")
+        self._submitted = True
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestBrokenAtSubmit:
+    """A pool that breaks at ``submit`` fails slots, not the whole map."""
+
+    def test_return_exceptions_fills_unsubmitted_slots(self, monkeypatch):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _BrokenAfterFirstSubmit)
+        seen: list[int] = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ParallelFallbackWarning)
+            got = parallel_map(
+                _square,
+                [3, 1, 2],
+                max_workers=2,
+                return_exceptions=True,
+                on_result=lambda index, value: seen.append(index),
+            )
+        assert got[0] == 9
+        assert all(isinstance(value, BrokenExecutor) for value in got[1:])
+        assert seen == [0, 1, 2]
+        assert last_fallback_reason() is None
+
+    def test_without_return_exceptions_reruns_serially(self, monkeypatch):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _BrokenAfterFirstSubmit)
+        with pytest.warns(ParallelFallbackWarning, match="BrokenProcessPool"):
+            got = parallel_map(_square, [3, 1, 2], max_workers=2)
+        assert got == [9, 1, 4]
 
 
 class TestBudgetPropagation:

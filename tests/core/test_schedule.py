@@ -212,6 +212,13 @@ class TestPruneAndCompact:
         assert {c.machine for c in compacted.calibrations} == {0, 1}
         assert compacted.placement_of(1).machine == 0
 
+    def test_compact_of_a_dense_schedule_is_itself(self):
+        sched = Schedule(
+            calibrations=_cals((0.0, 0), (0.0, 1), machines=2),
+            placements=(ScheduledJob(1.0, 1, 1),),
+        )
+        assert sched.compact_machines() is sched
+
 
 class TestMerge:
     def test_disjoint_union(self):
@@ -227,6 +234,18 @@ class TestMerge:
         assert merged.num_machines == 3
         assert merged.placement_of(2).machine == 1
         assert merged.num_calibrations == 2
+
+    def test_union_with_a_machineless_side_is_the_other_side(self):
+        sched = Schedule(
+            calibrations=_cals((0.0, 0), machines=1),
+            placements=(ScheduledJob(0.0, 0, 1),),
+        )
+        empty = empty_schedule(10.0)
+        assert sched.merged_with(empty) is sched
+        assert empty.merged_with(sched) is sched
+        # Not the same T: the union still refuses.
+        with pytest.raises(InvalidScheduleError):
+            empty_schedule(5.0).merged_with(sched)
 
     def test_speed_mismatch_rejected(self):
         a = empty_schedule(10.0, speed=1.0)

@@ -65,7 +65,7 @@ def test_from_mapping_rejects_malformed_forbid() -> None:
 
 
 def test_repo_pyproject_matches_default_fallback() -> None:
-    """The committed TOML and the 3.10 fallback must never drift apart."""
+    """The committed TOML and the no-pyproject default must never drift apart."""
     config = FlowConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
     assert config == FlowConfig.default()
 

@@ -9,11 +9,21 @@ the run still passes the invariant suite (validators, theorem checks).
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro import solve_ise
 from repro.baselines import lazy_binning
-from repro.instances import long_window_instance, mixed_instance, unit_instance
+from repro.instances import (
+    long_window_instance,
+    mixed_instance,
+    short_window_instance,
+    unit_instance,
+)
+from repro.instances.io import schedule_to_dict
 
 # (family, seed) -> (calibrations, best lower bound, n_long)
 GOLDEN_COMBINED = {
@@ -56,3 +66,39 @@ def test_generator_golden_fingerprint():
     )
     # Re-derive on change: python -c "...print(fingerprint)"
     assert fingerprint == pytest.approx(5069.503629, abs=1e-5)
+
+
+# (family, n, seed) -> sha256 prefix of the solve's output record (m=2, T=10)
+GOLDEN_DIGESTS = {
+    ("short", 800, 1): "a5081b205758c7ab",
+    ("short", 800, 2): "72f6db7a3624332d",
+    ("short", 800, 3): "83b7e6bb36ca8ca3",
+    ("mixed", 96, 1): "598d8676c6e9102f",
+    ("long", 64, 1): "2180af3bcf8cf540",
+}
+
+
+def _output_digest(result) -> str:
+    """Hash of the schedule, the lower bounds and the short-side telemetry."""
+    short = result.short_result
+    record = {
+        "schedule": schedule_to_dict(result.schedule),
+        "lower_bound": asdict(result.lower_bound),
+        "intervals": [asdict(r) for r in short.intervals] if short else None,
+        "unpruned": short.unpruned_calibrations if short else None,
+    }
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family,n,seed", sorted(GOLDEN_DIGESTS))
+def test_solve_output_digest(family, n, seed):
+    """Byte-level pin of default ``solve_ise`` output: a change to how the
+    schedule is assembled must not change a single placement or bound.
+    The long-window digest depends on the HiGHS vertex, as above."""
+    generator = {
+        "short": short_window_instance,
+        "mixed": mixed_instance,
+        "long": long_window_instance,
+    }[family]
+    result = solve_ise(generator(n, 2, 10.0, seed).instance)
+    assert _output_digest(result) == GOLDEN_DIGESTS[(family, n, seed)]

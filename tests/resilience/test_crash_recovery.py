@@ -191,3 +191,35 @@ class TestWorkerDeath:
         )
         assert [o.value for o in recovered] == [2, 4]
         assert journal.load().done_payloads() == {"a": 2, "b": 4}
+
+    def test_pool_broken_at_submit_retries_the_shard(self, tmp_path, monkeypatch):
+        """A worker death seen at the second ``submit`` (not while results
+        are collected) still costs only a shard retry, not a serial rerun
+        of the round in the driving process."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.core import parallel
+
+        class BreaksAtSecondSubmit(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                if getattr(self, "_submitted", False):
+                    raise BrokenProcessPool("A child process terminated abruptly")
+                self._submitted = True
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", BreaksAtSecondSubmit)
+        run = CheckpointedRun(
+            journal=ShardJournal(tmp_path / "j.jsonl"),
+            fingerprint="fp",
+            max_shard_retries=2,
+        )
+        outcomes = run.map(
+            _double, [21, 33], ["a", "b"],
+            encode=_identity, decode=_identity,
+            max_workers=2,
+        )
+        assert [o.status for o in outcomes] == ["done", "done"]
+        assert [o.value for o in outcomes] == [42, 66]
+        assert [o.attempts for o in outcomes] == [1, 2]
+        assert run.parallel_fallback is None
