@@ -66,7 +66,7 @@ def bench_lp_point_generation(report, perf_json):
         jobs = gen.instance.jobs
         T = gen.instance.calibration_length
         tic = time.perf_counter()
-        model = build_tise_lp(jobs, T, 3, names=False)
+        model = build_tise_lp(jobs, T, 3)
         full_solution = solve_highs(model.lp)
         full_ms = (time.perf_counter() - tic) * 1e3
         tic = time.perf_counter()

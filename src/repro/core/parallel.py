@@ -213,6 +213,13 @@ def parallel_map(
     budget = current_budget()
     snapshot = budget.subbudget() if budget is not None else None
     payloads = [(fn, item, snapshot) for item in items]
+    try:
+        # Checked up front: inside the pool a pickling failure surfaces per
+        # future, where return_exceptions would file it as a task error.
+        pickle.dumps(payloads)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        _record_pool_fallback(exc)
+        return _serial_map(fn, items, return_exceptions, on_result)
     delivered = [0]
     try:
         with ProcessPoolExecutor(max_workers=min(max_workers, len(items))) as pool:

@@ -1,4 +1,4 @@
-"""The project rule set: codes ``ISE001``–``ISE016`` (ISE004/ISE005 retired).
+"""The project rule set: codes ``ISE001``–``ISE016`` (ISE004, ISE005 and ISE015 retired).
 
 Every rule encodes one convention the paper's guarantees or the PR-1
 resilience layer depend on.  Rules are pure functions from a parsed
@@ -803,16 +803,8 @@ def _check_direct_sleep(source: SourceFile) -> Iterator[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# ISE015 — mutation of solver-result objects
+# ISE016 — mutation of committed online-session state
 # ---------------------------------------------------------------------------
-
-#: Result types whose fields are certified evidence once constructed.
-_RESULT_TYPES = frozenset({"LPSolution", "ISEResult"})
-
-#: Modules allowed to construct (and hence initialize) result objects:
-#: the files that define each type.
-_RESULT_CONSTRUCTORS = frozenset({("lp", "model.py"), ("core", "solver.py")})
-
 
 def _annotation_types(annotation: ast.expr) -> set[str]:
     """Type names mentioned anywhere in an annotation expression.
@@ -833,90 +825,6 @@ def _annotation_types(annotation: ast.expr) -> set[str]:
             names.add(node.attr)
     return names
 
-
-def _tracked_result_names(tree: ast.Module) -> set[str]:
-    """Names bound to solver-result objects, flow-insensitively.
-
-    A name is tracked when it is (a) assigned from a direct constructor
-    call of a result type, or (b) annotated as one (variable annotations
-    and function parameters alike).
-    """
-    tracked: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            callee = _dotted_name(node.value.func) or ""
-            if callee.split(".")[-1] in _RESULT_TYPES:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        tracked.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            if _annotation_types(node.annotation) & _RESULT_TYPES:
-                tracked.add(node.target.id)
-        elif isinstance(node, ast.arg) and node.annotation is not None:
-            if _annotation_types(node.annotation) & _RESULT_TYPES:
-                tracked.add(node.arg)
-    return tracked
-
-
-@register(
-    "ISE015",
-    "result-mutation",
-    "solver-result fields (LPSolution/ISEResult) mutated outside the "
-    "constructing module; results are evidence, use dataclasses.replace",
-)
-def _check_result_mutation(source: SourceFile) -> Iterator[Diagnostic]:
-    """Flag attribute writes to LPSolution/ISEResult outside their homes.
-
-    The certification layer's whole premise is that a result, once
-    constructed, is immutable evidence: the certificate checksums what the
-    validator saw, and any later in-place edit silently invalidates both.
-    Only the modules that *define* each type (``lp/model.py``,
-    ``core/solver.py``) may touch fields directly; everyone else goes
-    through ``dataclasses.replace``, which the rule never flags.  Both
-    plain attribute assignment and the ``object.__setattr__`` frozen-
-    dataclass escape hatch are caught.
-    """
-    parts = _path_parts(source)
-    if len(parts) >= 2 and (parts[-2], parts[-1]) in _RESULT_CONSTRUCTORS:
-        return
-    tracked = _tracked_result_names(source.tree)
-    if not tracked:
-        return
-    for node in ast.walk(source.tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in tracked
-                ):
-                    yield source.diagnostic(
-                        node,
-                        "ISE015",
-                        f"mutates solver result `{target.value.id}."
-                        f"{target.attr}`; results are immutable evidence — "
-                        "build a new one with dataclasses.replace",
-                    )
-        elif isinstance(node, ast.Call):
-            if (
-                _dotted_name(node.func) == "object.__setattr__"
-                and node.args
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id in tracked
-            ):
-                yield source.diagnostic(
-                    node,
-                    "ISE015",
-                    f"object.__setattr__ on solver result "
-                    f"`{node.args[0].id}` bypasses frozen-dataclass "
-                    "protection; use dataclasses.replace",
-                )
-
-
-# ---------------------------------------------------------------------------
-# ISE016 — mutation of committed online-session state
-# ---------------------------------------------------------------------------
 
 #: The online-session type whose committed state is append-only evidence.
 _SESSION_TYPES = frozenset({"ISESession"})

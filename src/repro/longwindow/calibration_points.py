@@ -13,7 +13,7 @@ be TISE-feasibly assigned: the LP would keep ``C_t = 0`` there (such a
 calibration adds cost and can serve no job), so dropping the variables is
 optimum-preserving and shrinks the LP substantially.  The prune is computed
 from per-job feasible index ranges (:func:`~repro.longwindow.tise
-.tise_feasible_range`) and a coverage sweep — ``O(n log P + P)`` instead of
+.tise_feasible_ranges`) and a coverage sweep — ``O(n log P + P)`` instead of
 the ``O(n * P)`` all-pairs scan — and candidate generation is capped at the
 horizon ``max_j d_j - T`` past which no candidate can survive the prune.
 Both changes are output-identical to the naive construction.
@@ -27,9 +27,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..core.job import Job
 from ..core.tolerance import EPS
-from .tise import tise_feasible_range
+from .tise import tise_feasible_ranges
 
 __all__ = [
     "potential_calibration_points",
@@ -47,6 +49,30 @@ def _dedupe_sorted(values: list[float], eps: float = EPS) -> list[float]:
     return out
 
 
+def _lemma3_points(
+    jobs: Sequence[Job], T: float, kmax: int, horizon: float = np.inf
+) -> np.ndarray:
+    """Sorted, deduplicated ``r_j + k*T <= horizon`` for ``0 <= k <= kmax``.
+
+    ``r_j + k*T`` rises with ``k``: each job's prefix of ``k`` is sized from
+    ``(horizon - r_j) / T`` plus one against rounding, then cut exactly.
+    Exact duplicates go first; the ``_dedupe_sorted`` chain runs only on a
+    gap of at most ``EPS``, which keeps the same points.
+    """
+    releases = np.array([job.release for job in jobs], dtype=float)
+    counts = np.floor((horizon - releases) / T) + 2
+    counts = np.minimum(np.maximum(counts, 0), kmax + 1).astype(np.int64)
+    k = np.arange(counts.sum()) - (counts.cumsum() - counts).repeat(counts)
+    points = releases.repeat(counts) + k * T
+    points = points[points <= horizon]
+    points.sort()
+    if (points[1:] - points[:-1] <= EPS).any():
+        points = np.unique(points)
+        if (points[1:] - points[:-1] <= EPS).any():
+            points = np.array(_dedupe_sorted(points.tolist()))
+    return points
+
+
 def raw_calibration_points(
     jobs: Sequence[Job], calibration_length: float, max_packed: int | None = None
 ) -> list[float]:
@@ -55,14 +81,8 @@ def raw_calibration_points(
     ``max_packed`` overrides the number of packed repetitions per release
     (defaults to ``n``, the Lemma 3 bound).
     """
-    n = len(jobs)
-    kmax = n if max_packed is None else max_packed
-    values = [
-        job.release + k * calibration_length
-        for job in jobs
-        for k in range(kmax + 1)
-    ]
-    return _dedupe_sorted(values)
+    kmax = len(jobs) if max_packed is None else max_packed
+    return _lemma3_points(jobs, calibration_length, kmax).tolist()
 
 
 def potential_calibration_points(
@@ -77,7 +97,6 @@ def potential_calibration_points(
     if not jobs:
         return []
     T = calibration_length
-    n = len(jobs)
     if not prune:
         return raw_calibration_points(jobs, T)
     # A candidate strictly beyond max_j (d_j - T) is TISE-infeasible for
@@ -85,25 +104,9 @@ def potential_calibration_points(
     # margin keeps tolerance-borderline candidates in play (the exact range
     # prune below settles them), so the output matches the uncapped path.
     horizon = max(job.deadline for job in jobs) - T + 2 * EPS
-    values: list[float] = []
-    for job in jobs:
-        for k in range(n + 1):
-            t = job.release + k * T
-            if t > horizon:
-                break
-            values.append(t)
-    points = _dedupe_sorted(values)
+    points = _lemma3_points(jobs, T, len(jobs), horizon)
     # Coverage sweep: union of the per-job feasible index ranges.
-    covered = [0] * (len(points) + 1)
-    for job in jobs:
-        lo, hi = tise_feasible_range(job, points, T)
-        if lo < hi:
-            covered[lo] += 1
-            covered[hi] -= 1
-    kept: list[float] = []
-    depth = 0
-    for i, t in enumerate(points):
-        depth += covered[i]
-        if depth > 0:
-            kept.append(t)
-    return kept
+    lo, hi = tise_feasible_ranges(jobs, points, T)
+    size = points.size + 1
+    depth = (np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size)).cumsum()
+    return points[depth[:-1] > 0].tolist()

@@ -23,6 +23,7 @@ machine-check the lemma chain.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,6 +68,10 @@ def assign_jobs_edf(
     jobs further down the deadline order (that is what the paper's
     pseudocode does, and what Lemma 10's induction compares against).
 
+    Starts only grow, so a job's release test only turns true and its
+    deadline test only turns false: a release sweep feeds a ``(deadline,
+    job_id)`` heap, off whose top the jobs too late for a start pop.
+
     Raises :class:`InfeasibleScheduleError` if some job remains unscheduled;
     by Lemmas 7-10 this cannot happen when the calendar came from
     Algorithm 1 on a feasible LP solution, so it indicates either a foreign
@@ -74,34 +79,32 @@ def assign_jobs_edf(
     """
     T = rounded.calibration_length
     calendar = mirror_calibrations(rounded) if mirror else rounded
-    unscheduled: dict[int, Job] = {j.job_id: j for j in jobs}
+    by_id = {j.job_id: j for j in jobs}
+    # tise_feasible_for's release test is start >= r_j - EPS: pop in that order.
+    arrivals = sorted([(j.release - EPS, j.deadline, j.job_id) for j in by_id.values()])[::-1]
+    heap: list[tuple[float, int]] = []
     placements: list[ScheduledJob] = []
-
     for cal in calendar.calibrations:  # already sorted by (start, machine)
+        while arrivals and cal.start >= arrivals[-1][0]:
+            heapq.heappush(heap, arrivals.pop()[1:])
+        while heap and not leq(cal.start + T, heap[0][0]):
+            heapq.heappop(heap)
         used = 0.0
-        while unscheduled:
-            eligible = [
-                j
-                for j in unscheduled.values()
-                if tise_feasible_for(j, cal.start, T)
-            ]
-            if not eligible:
-                break
-            job = min(eligible, key=lambda j: (j.deadline, j.job_id))
+        while heap:
+            job = by_id[heap[0][1]]
             if not leq(job.processing + used, T):
                 break  # the EDF job does not fit: move to the next calibration
+            heapq.heappop(heap)
             placements.append(
-                ScheduledJob(
-                    start=cal.start + used, machine=cal.machine, job_id=job.job_id
-                )
+                ScheduledJob(start=cal.start + used, machine=cal.machine, job_id=job.job_id)
             )
             used += job.processing
-            del unscheduled[job.job_id]
 
+    unscheduled = sorted(by_id.keys() - {p.job_id for p in placements})
     if unscheduled:
         raise InfeasibleScheduleError(
             f"EDF assignment left {len(unscheduled)} job(s) unscheduled "
-            f"(ids {sorted(unscheduled)[:8]}); the calibration calendar does "
+            f"(ids {unscheduled[:8]}); the calibration calendar does "
             "not admit a feasible assignment"
         )
     return Schedule(

@@ -22,7 +22,9 @@ simplifications can only improve the value of the optimal solution") — and
 its infeasibility certifies (via Lemma 2) that the long-window instance is
 not ISE-feasible on ``m = m'/3`` machines.
 
-:func:`build_tise_lp` transcribes the LP literally over a given point set.
+:func:`build_tise_lp` transcribes the LP literally over a given point set,
+straight into the column-wise arrays HiGHS takes
+(:class:`~repro.lp.model.ColwiseLP`), with no per-row model in between.
 :func:`solve_tise_lp` never builds it over the whole Lemma 3 pool ``P``
 (``O(n^2)`` points): an optimum puts mass on few points, so it solves a
 *restricted* LP over a growing ``S ⊆ P`` and adds the points that price out.
@@ -64,7 +66,6 @@ not ISE-feasible on ``m = m'/3`` machines.
 
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -75,9 +76,9 @@ import numpy as np
 from ..core.errors import InfeasibleInstanceError, SolverError
 from ..core.job import Job
 from ..core.tolerance import EPS, LOOSE_EPS
-from ..lp import BACKENDS, LinearProgram, LPSolution, LPStatus, Sense
+from ..lp import BACKENDS, ColwiseLP, LPSolution, LPStatus
 from .calibration_points import potential_calibration_points
-from .tise import tise_feasible_range
+from .tise import tise_feasible_ranges
 
 __all__ = ["TiseLP", "TiseLPSolution", "build_tise_lp", "solve_tise_lp"]
 
@@ -93,7 +94,11 @@ _PRICE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TiseLP:
-    """A built (unsolved) TISE LP with its variable index maps.
+    """A built (unsolved) TISE LP and where its variables sit.
+
+    Columns: ``C_t`` per point, ``X_jt`` job-major (``jobs[x_job[k]]`` at
+    ``points[x_point[k]]``), then any artificials; ``c_vars``/``x_vars`` map
+    ``t`` and ``(job_id, t)`` to column indices.
 
     ``stats`` records model-size counters (``rows``, ``cols``, ``nnz``,
     ``machine_nnz`` — nonzeros of the constraint-(1) block — and ``points``)
@@ -101,17 +106,30 @@ class TiseLP:
     re-deriving them.
     """
 
-    lp: LinearProgram
+    lp: ColwiseLP
     points: tuple[float, ...]
     machine_budget: int
     calibration_length: float
-    c_vars: Mapping[float, int]
-    x_vars: Mapping[tuple[int, float], int]
+    jobs: Sequence[Job] = field(repr=False)
+    x_job: np.ndarray = field(repr=False, compare=False)
+    x_point: np.ndarray = field(repr=False, compare=False)
     stats: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def num_points(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def c_vars(self) -> dict[float, int]:
+        return {t: i for i, t in enumerate(self.points)}
+
+    @cached_property
+    def x_vars(self) -> dict[tuple[int, float], int]:
+        pairs = zip(self.x_job.tolist(), self.x_point.tolist())
+        return {
+            (self.jobs[j].job_id, self.points[i]): self.num_points + k
+            for k, (j, i) in enumerate(pairs)
+        }
 
 
 @dataclass(frozen=True)
@@ -165,107 +183,91 @@ def _no_point(job: Job, T: float) -> InfeasibleInstanceError:
     )
 
 
-def _assemble(
+def _build(
     jobs: Sequence[Job],
+    ranges: tuple[np.ndarray, np.ndarray],
     T: float,
     machine_budget: int,
-    points: tuple[float, ...],
-    names: bool,
+    points: np.ndarray,
     calibration_cost: float = 1.0,
     artificial_cost: float | None = None,
-) -> tuple[TiseLP, list[int]]:
-    """The Section 3 rows over sorted ``points``; returns the model and the
-    artificial column of each row (4) (empty when ``artificial_cost`` is None).
+) -> TiseLP:
+    """The Section 3 rows over sorted ``points``, emitted as HiGHS's CSC arrays.
 
-    Row order is part of the contract with the pricing step: the window rows
-    (1) are the first ``len(points)`` inequality rows, and the rows (4) are
-    the only equality rows, in job order.
+    ``ranges`` are the jobs' feasible index ranges into ``points``.  Rows
+    come in transcription order: (1) per point — the first rows, which
+    pricing relies on — (2) per ``X_jt``, (3) per point some job can use,
+    (4) per job, the only equality rows, each with its artificial when
+    ``artificial_cost`` is set.  Each column's rows ascend, so no sort.
     """
-    lp = LinearProgram("tise", track_names=names)
+    P, n = points.size, len(jobs)
+    proc = np.array([job.processing for job in jobs], dtype=float)
+    lo, hi = ranges
+    per_job = hi - lo
+    if artificial_cost is None and not per_job.all():
+        raise _no_point(jobs[int(per_job.argmin())], T)
+    nx = int(per_job.sum())
+    x_job = np.arange(n).repeat(per_job)
+    x_point = np.arange(nx) - (per_job.cumsum() - per_job - lo).repeat(per_job)
 
-    c_vars: dict[float, int] = {
-        t: lp.add_variable(objective=calibration_cost, name=f"C[{t}]" if names else "")
-        for t in points
-    }
-    x_vars: dict[tuple[int, float], int] = {}
-    x_by_job: dict[int, list[int]] = {job.job_id: [] for job in jobs}
-    # Feasible (j, t) pairs via the precomputed contiguous per-job range:
-    # t must lie in [r_j, d_j - T] (constraint (5) by omission).
-    for job in jobs:
-        lo, hi = tise_feasible_range(job, points, T)
-        for t in points[lo:hi]:
-            idx = lp.add_variable(
-                objective=0.0, name=f"X[{job.job_id}@{t}]" if names else ""
-            )
-            x_vars[(job.job_id, t)] = idx
-            x_by_job[job.job_id].append(idx)
-    artificials = (
-        []
-        if artificial_cost is None
-        else [
-            lp.add_variable(objective=artificial_cost, name=f"A[{job.job_id}]" if names else "")
-            for job in jobs
-        ]
+    # (1): window row i holds C_k for first[i] <= k <= i, so column k sits
+    # in the window[k] rows k, k + 1, ...
+    k = np.arange(P)
+    first = points.searchsorted(points - T + EPS, side="right")
+    window = np.maximum(first.searchsorted(k, side="right") - k, 0)
+    # (2)/(3): the X columns at each point, and its work row if it has any.
+    at_point = np.bincount(x_point, minlength=P)
+    used = at_point > 0
+    work_row = used.cumsum() + (P + nx - 1)
+    assign_row = P + nx + int(used.sum())
+    artificials = 0 if artificial_cost is None else n
+    num_cols = P + nx + artificials
+    start = np.zeros(num_cols + 1, dtype=np.int32)
+    start[1:P + 1] = window + at_point + used
+    start[P + 1:P + nx + 1] = 3
+    start[P + nx + 1:] = 1
+    start.cumsum(out=start)
+    index = np.empty(int(start[-1]), dtype=np.int32)
+    value = np.empty(int(start[-1]))
+
+    # C_t: its window rows (1), -1 in the cap row (2) of each X at t in
+    # column order, then -T in its work row (3).
+    col = k.repeat(window)
+    pos = np.arange(col.size) - (window.cumsum() - window).repeat(window)
+    index[start[col] + pos], value[start[col] + pos] = col + pos, 1.0
+    by_point = x_point.argsort(kind="stable")
+    at = x_point[by_point]
+    pos = start[at] + window[at] + np.arange(nx) - (at_point.cumsum() - at_point)[at]
+    index[pos], value[pos] = P + by_point, -1.0
+    pos = start[1:P + 1][used] - 1
+    index[pos], value[pos] = work_row[used], -T
+    # X_jt: its cap row (2), the work row (3) at t, then the job's row (4).
+    pos = start[P:P + nx]
+    index[pos], value[pos] = P + np.arange(nx), 1.0
+    index[pos + 1], value[pos + 1] = work_row[x_point], proc[x_job]
+    index[pos + 2], value[pos + 2] = assign_row + x_job, 1.0
+    # a_j: the job's row (4).
+    index[start[P + nx:-1]], value[start[P + nx:-1]] = assign_row + np.arange(artificials), 1.0
+
+    row_upper = np.zeros(assign_row + n)
+    row_upper[:P], row_upper[assign_row:] = float(machine_budget), 1.0
+    row_lower = np.full(assign_row + n, -np.inf)
+    row_lower[assign_row:] = 1.0
+    c = np.zeros(num_cols)
+    c[:P] = calibration_cost
+    if artificial_cost is not None:
+        c[P + nx:] = artificial_cost
+    lp = ColwiseLP(
+        c=c, start=start, index=index, value=value, row_lower=row_lower,
+        row_upper=row_upper, lb=np.zeros(num_cols), ub=np.full(num_cols, np.inf),
+        num_ineq=assign_row, name="tise",
     )
-
-    # (1): sliding-window machine budget, one literal row per point.
-    for idx, t in enumerate(points):
-        lo = bisect.bisect_right(points, t - T + EPS)
-        lp.add_constraint(
-            [(c_vars[points[k]], 1.0) for k in range(lo, idx + 1)],
-            Sense.LE,
-            float(machine_budget),
-            name=f"mach[{t}]" if names else "",
-        )
-    machine_nnz = lp.num_nonzeros
-
-    # (2): X_jt <= C_t.
-    for (job_id, t), x_idx in x_vars.items():
-        lp.add_constraint(
-            [(x_idx, 1.0), (c_vars[t], -1.0)], Sense.LE, 0.0,
-            name=f"cap[{job_id}@{t}]" if names else "",
-        )
-
-    # (3): work at a point fits in its calibrations.
-    proc = {job.job_id: job.processing for job in jobs}
-    terms_by_point: dict[float, list[tuple[int, float]]] = {t: [] for t in points}
-    for (job_id, t), x_idx in x_vars.items():
-        terms_by_point[t].append((x_idx, proc[job_id]))
-    for t, terms in terms_by_point.items():
-        if terms:
-            lp.add_constraint(
-                terms + [(c_vars[t], -T)], Sense.LE, 0.0,
-                name=f"work[{t}]" if names else "",
-            )
-
-    # (4): every job fully assigned.
-    for k, job in enumerate(jobs):
-        terms = [(x_idx, 1.0) for x_idx in x_by_job[job.job_id]]
-        if artificials:
-            terms.append((artificials[k], 1.0))
-        elif not terms:
-            raise _no_point(job, T)
-        lp.add_constraint(
-            terms, Sense.EQ, 1.0, name=f"assign[{job.job_id}]" if names else ""
-        )
-
-    stats = {
-        "rows": lp.num_constraints,
-        "cols": lp.num_variables,
-        "nnz": lp.num_nonzeros,
-        "machine_nnz": machine_nnz,
-        "points": len(points),
-    }
-    model = TiseLP(
-        lp=lp,
-        points=points,
-        machine_budget=machine_budget,
-        calibration_length=T,
-        c_vars=c_vars,
-        x_vars=x_vars,
-        stats=stats,
+    stats = {"rows": lp.num_rows, "cols": lp.num_variables, "nnz": lp.num_nonzeros,
+             "machine_nnz": int(window.sum()), "points": P}
+    return TiseLP(
+        lp=lp, points=tuple(points.tolist()), machine_budget=machine_budget,
+        calibration_length=T, jobs=jobs, x_job=x_job, x_point=x_point, stats=stats,
     )
-    return model, artificials
 
 
 def build_tise_lp(
@@ -273,21 +275,18 @@ def build_tise_lp(
     calibration_length: float,
     machine_budget: int,
     points: Sequence[float] | None = None,
-    *,
-    names: bool = True,
 ) -> TiseLP:
     """Assemble the Section 3 LP for ``jobs`` with ``m' = machine_budget``.
 
-    The literal transcription over ``points`` (default: the whole Lemma 3
-    set), whose variables are exactly the ``C_t``/``X_jt`` that structural
-    tools (witness encoders, the MILP bound) index.  ``names=False`` skips
-    all variable/constraint name-string construction, which HiGHS never
-    needs.
+    The literal LP over sorted ``points`` (default: the whole Lemma 3 set),
+    whose variables are exactly the ``C_t``/``X_jt`` that structural tools
+    (witness encoders, the MILP bound) index through ``c_vars``/``x_vars``.
     """
     T = calibration_length
     if points is None:
         points = potential_calibration_points(jobs, T)
-    return _assemble(jobs, T, machine_budget, tuple(points), names)[0]
+    points = np.asarray(points, dtype=float)
+    return _build(jobs, tise_feasible_ranges(jobs, points, T), T, machine_budget, points)
 
 
 def _knapsack_values(
@@ -311,7 +310,8 @@ def _knapsack_values(
     positive = np.flatnonzero(y > 0.0)
     for j in positive[np.argsort(-y[positive] / proc[positive], kind="stable")]:
         a, b, p = lo[j], hi[j], proc[j]
-        take = np.clip((capacity - used[a:b]) / p, 0.0, 1.0)
+        # np.clip's value, without its per-call Python dispatch.
+        take = np.minimum(np.maximum((capacity - used[a:b]) / p, 0.0), 1.0)
         gain[a:b] += y[j] * take
         used[a:b] += p * take
     return gain
@@ -330,40 +330,30 @@ class _PointGeneration:
     """The restricted-LP loop of :func:`solve_tise_lp` over one candidate pool."""
 
     def __init__(
-        self,
-        jobs: Sequence[Job],
-        T: float,
-        machine_budget: int,
-        pool: tuple[float, ...],
-        names: bool,
+        self, jobs: Sequence[Job], T: float, machine_budget: int, pool: np.ndarray,
         deadline: float | None,
     ) -> None:
         self.jobs = jobs
         self.T = T
         self.machine_budget = machine_budget
         self.pool = pool
-        self.names = names
         self.deadline = deadline
-        ranges = [tise_feasible_range(job, pool, T) for job in jobs]
-        for job, (lo, hi) in zip(jobs, ranges):
-            if lo >= hi:
-                raise _no_point(job, T)
-        self.lo = np.array([lo for lo, _ in ranges], dtype=np.int64)
-        self.hi = np.array([hi for _, hi in ranges], dtype=np.int64)
+        self.lo, self.hi = tise_feasible_ranges(jobs, pool, T)
+        if not (self.hi > self.lo).all():
+            raise _no_point(jobs[int(np.argmin(self.hi - self.lo))], T)
         self.proc = np.array([job.processing for job in jobs], dtype=float)
-        self.pool_arr = np.asarray(pool, dtype=float)
-        self.in_s = np.zeros(len(pool), dtype=bool)
+        self.in_s = np.zeros(pool.size, dtype=bool)
         self.rounds = 0
         self.phase1_rounds = 0
         self.telemetry: dict[str, float] = {"pricing_ms": 0.0}
 
     def solve(self, phase: str) -> _Round:
         """Build and solve the restricted LP of ``phase`` over the current ``S``."""
-        calibration_cost, artificial_cost = _PHASES[phase]
-        points = tuple(self.pool[i] for i in np.flatnonzero(self.in_s))
-        model, artificials = _assemble(
-            self.jobs, self.T, self.machine_budget, points, self.names,
-            calibration_cost, artificial_cost,
+        # A job's feasible points in S are the S points inside its pool range.
+        s_index = self.in_s.nonzero()[0]
+        ranges = s_index.searchsorted(self.lo), s_index.searchsorted(self.hi)
+        model = _build(
+            self.jobs, ranges, self.T, self.machine_budget, self.pool[s_index], *_PHASES[phase]
         )
         limit = None
         if self.deadline is not None:
@@ -390,7 +380,9 @@ class _PointGeneration:
                 stage="lp",
                 backend="highs",
             )
-        return _Round(model, solution, x, float(np.sum(x[artificials])))
+        # The artificials are the last columns (none in the final phase).
+        first_artificial = model.num_points + model.x_job.size
+        return _Round(model, solution, x, float(np.sum(x[first_artificial:])))
 
     def converge(self, phase: str) -> _Round:
         """Solve and price until no pool point prices out."""
@@ -411,7 +403,7 @@ class _PointGeneration:
                 backend="highs",
             )
         T = self.T
-        pool = self.pool_arr
+        pool = self.pool
         s_points = pool[self.in_s]
         # Window term: row s covers t iff t <= s and s - T + EPS < t, the
         # same comparisons the window rows are built with.
@@ -442,8 +434,6 @@ def solve_tise_lp(
     points: Sequence[float] | None = None,
     zero_tol: float = 1e-9,
     time_limit: float | None = None,
-    *,
-    names: bool = False,
 ) -> TiseLPSolution:
     """Solve the TISE LP over the candidate pool ``points``; raises on
     infeasibility.
@@ -454,9 +444,7 @@ def solve_tise_lp(
     instance is not feasible on ``machine_budget / 3`` machines (Lemma 2
     contrapositive).  ``time_limit`` (seconds) bounds all rounds together:
     each round's HiGHS solve gets what is left and raises
-    :class:`~repro.core.errors.StageTimeoutError` on expiry.  ``names``
-    defaults to False here (the models are discarded after the solve, so
-    name strings are pure overhead).
+    :class:`~repro.core.errors.StageTimeoutError` on expiry.
     """
     if not jobs:
         return TiseLPSolution(
@@ -467,9 +455,11 @@ def solve_tise_lp(
             calibration_length=calibration_length,
         )
     T = calibration_length
-    pool = tuple(sorted(points if points is not None else potential_calibration_points(jobs, T)))
+    if points is None:
+        points = potential_calibration_points(jobs, T)
+    pool = np.sort(np.asarray(points, dtype=float))
     deadline = None if time_limit is None else time.perf_counter() + time_limit
-    gen = _PointGeneration(jobs, T, machine_budget, pool, names, deadline)
+    gen = _PointGeneration(jobs, T, machine_budget, pool, deadline)
 
     gen.in_s[gen.hi - 1] = True
     result = gen.converge("phase2")
@@ -484,12 +474,15 @@ def solve_tise_lp(
         result = gen.converge("final")
 
     model, x = result.model, result.x
-    calibrations = {t: float(x[idx]) for t, idx in model.c_vars.items() if x[idx] > zero_tol}
-    assignments = {
-        key: float(x[idx]) for key, idx in model.x_vars.items() if x[idx] > zero_tol
-    }
+    points, P = model.points, model.num_points
+    c_x, x_x = x[:P], x[P:P + model.x_job.size]
+    calibrations = {points[i]: float(c_x[i]) for i in np.flatnonzero(c_x > zero_tol).tolist()}
+    kept = np.flatnonzero(x_x > zero_tol)
+    pairs = zip(model.x_job[kept].tolist(), model.x_point[kept].tolist(), x_x[kept].tolist())
+    assignments = {(model.jobs[j].job_id, points[i]): value for j, i, value in pairs}
     return TiseLPSolution(
-        objective=float(sum(x[idx] for idx in model.c_vars.values())),
+        # Summed one C_t at a time, in point order.
+        objective=float(sum(c_x)),
         calibrations=calibrations,
         assignments=assignments,
         machine_budget=machine_budget,

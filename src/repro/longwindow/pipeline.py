@@ -65,8 +65,6 @@ class LongWindowConfig:
     """Tuning knobs for the long-window pipeline.
 
     Attributes:
-        lp_names: build the LP with debug variable/constraint names.  Off by
-            default — name strings are pure overhead on the hot path.
         rounding_threshold: Algorithm 1 emission threshold (paper: 1/2).
         rounding_scheme: ``"greedy"`` (Algorithm 1, the paper's scheme with
             the Lemma 7 worst-case bound), ``"ceil"`` (per-point ceiling —
@@ -82,7 +80,6 @@ class LongWindowConfig:
             None means strict with no budget.
     """
 
-    lp_names: bool = False
     rounding_threshold: float = 0.5
     rounding_scheme: str = "greedy"
     machine_multiplier: int = 3
@@ -225,7 +222,6 @@ class LongWindowSolver:
                     m_prime,
                     points=points,
                     time_limit=limit,
-                    names=cfg.lp_names,
                 )
 
             tic = time.perf_counter()

@@ -19,9 +19,10 @@ calibrations.  :func:`ise_to_tise` implements that constructive proof exactly
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from ..core.calibration import Calibration, CalibrationSchedule
 from ..core.errors import InvalidScheduleError
@@ -32,6 +33,7 @@ from ..core.tolerance import EPS, geq, gt, leq, lt
 __all__ = [
     "tise_feasible_for",
     "tise_feasible_range",
+    "tise_feasible_ranges",
     "ise_to_tise",
     "TiseTransformTrace",
 ]
@@ -46,36 +48,32 @@ def tise_feasible_for(
     )
 
 
-def tise_feasible_range(
-    job: Job,
-    points: Sequence[float],
+def tise_feasible_ranges(
+    jobs: Sequence[Job],
+    points: np.ndarray,
     calibration_length: float,
     eps: float = EPS,
-) -> tuple[int, int]:
-    """The contiguous index range ``[lo, hi)`` of ``points`` feasible for ``job``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per job, the index range ``[lo, hi)`` of sorted ``points`` feasible for it.
 
-    ``points`` must be sorted ascending.  Because both halves of the TISE
-    test are monotone in ``t``, the feasible subset of a sorted point list
-    is a contiguous slice; this locates it with two bisects plus an O(1)
-    boundary correction (the bisect keys ``r_j - eps`` / ``d_j - T + eps``
-    can drift from the tolerance comparisons by a rounding ulp, so the
-    edges are re-checked against :func:`tise_feasible_for` itself).  The
-    result is exactly ``{i : tise_feasible_for(job, points[i], T)}``
-    without an O(len(points)) scan per job.
+    Both halves of :func:`tise_feasible_for` are monotone in ``t`` (``points
+    + T`` stays sorted), so each range is contiguous and the two searches are
+    its exact comparisons ``t >= r_j - eps`` and ``t + T <= d_j + eps``.
     """
-    T = calibration_length
-    size = len(points)
-    lo = bisect.bisect_left(points, job.release - eps)
-    hi = bisect.bisect_right(points, job.deadline - T + eps, lo=lo)
-    while lo > 0 and tise_feasible_for(job, points[lo - 1], T, eps):
-        lo -= 1
-    while lo < size and not tise_feasible_for(job, points[lo], T, eps):
-        lo += 1
-    while hi < size and tise_feasible_for(job, points[hi], T, eps):
-        hi += 1
-    while hi > lo and not tise_feasible_for(job, points[hi - 1], T, eps):
-        hi -= 1
-    return lo, max(lo, hi)
+    points = np.asarray(points, dtype=float)
+    releases = np.array([job.release for job in jobs], dtype=float)
+    deadlines = np.array([job.deadline for job in jobs], dtype=float)
+    lo = points.searchsorted(releases - eps, side="left")
+    hi = (points + calibration_length).searchsorted(deadlines + eps, side="right")
+    return lo, np.maximum(lo, hi)
+
+
+def tise_feasible_range(
+    job: Job, points: Sequence[float], calibration_length: float, eps: float = EPS
+) -> tuple[int, int]:
+    """:func:`tise_feasible_ranges` of one job: ``{i : tise_feasible_for(job, points[i], T)}``."""
+    lo, hi = tise_feasible_ranges([job], points, calibration_length, eps)
+    return int(lo[0]), int(hi[0])
 
 
 @dataclass(frozen=True)

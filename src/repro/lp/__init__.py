@@ -14,9 +14,10 @@ from __future__ import annotations
 from typing import Protocol
 
 from .highs import HighsBackend, solve_highs
-from .model import LinearProgram, LPSolution, LPStatus, Sense
+from .model import ColwiseLP, LinearProgram, LPSolution, LPStatus, Sense
 
 __all__ = [
+    "ColwiseLP",
     "LinearProgram",
     "LPSolution",
     "LPStatus",
@@ -32,6 +33,9 @@ __all__ = [
 class LPBackend(Protocol):
     """Backend interface: solve a model, optionally under a time limit.
 
+    A model is a :class:`LinearProgram` or a :class:`ColwiseLP`; both have
+    ``name``, ``dims()``, ``num_variables`` and ``to_colwise()``.
+
     ``time_limit`` is wall-clock seconds for this one solve; backends raise
     :class:`~repro.core.errors.StageTimeoutError` when they hit it.  Every
     solve starts cold: no backend takes or returns a basis.
@@ -39,7 +43,7 @@ class LPBackend(Protocol):
 
     def __call__(
         self,
-        model: LinearProgram,
+        model: LinearProgram | ColwiseLP,
         *,
         time_limit: float | None = None,
     ) -> LPSolution: ...

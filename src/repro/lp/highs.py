@@ -7,10 +7,18 @@ point generation its LPs are small (an online session's replans solve 4 x 3
 LPs), so the interface, not HiGHS, was the cost.  ``linprog`` cleans and
 copies every input, re-stacks the sparse blocks into CSC and validates each
 option through a freshly built options manager, which took ~3 ms around a
-~0.4 ms HiGHS run.  Here the model is exported once
-(:meth:`LinearProgram.to_colwise`, one vectorised pass) and handed to a
-fresh ``_Highs`` object from ``scipy.optimize._highspy._core`` — the module
-``linprog`` itself calls, so no new import or dependency is added.
+~0.4 ms HiGHS run.  Here every model arrives as, or is exported once to,
+a :class:`~repro.lp.model.ColwiseLP` (the TISE builder emits one directly;
+:meth:`LinearProgram.to_colwise` exports the MM LPs in one vectorised
+pass).  Its arrays go to a fresh ``_Highs`` object from
+``scipy.optimize._highspy._core`` — the module ``linprog`` itself calls, so
+no new import or dependency is added — through the array overload of
+``passModel``: ``(num_col, num_row, nnz, kColwise, kMinimize, 0.0, c,
+lower, upper, row_lower, row_upper, start, index, value, integrality)``
+with an all-zero int32 integrality (every column continuous).  The
+bindings read those numpy arrays in place; filling a ``HighsLp`` instead
+copied ``start``/``index`` element by element (~40 ns per entry from a
+list), which at ~200k nonzeros is ~10 ms per solve.
 
 What is replicated from ``linprog(method="highs")``, so that ``x``, the
 objective, both dual vectors and the iteration count are bit-identical
@@ -58,6 +66,9 @@ _OPTIONS: tuple[tuple[str, object], ...] = (
     ("output_flag", False),
     ("log_to_console", False),
 )
+
+_COLWISE = int(_h.MatrixFormat.kColwise)
+_MINIMIZE = int(_h.ObjSense.kMinimize)
 
 _MS = _h.HighsModelStatus
 _STATUS_MAP = {
@@ -113,7 +124,7 @@ def feasibility_violation(
 
 
 def solve_highs(
-    model: LinearProgram,
+    model: LinearProgram | ColwiseLP,
     *,
     time_limit: float | None = None,
 ) -> LPSolution:
@@ -146,33 +157,20 @@ def solve_highs(
         )
     lb = np.where(np.isnan(lp.lb), -np.inf, lp.lb)
     ub = np.where(np.isnan(lp.ub), np.inf, lp.ub)
-
-    highs_lp = _h.HighsLp()
-    num_col = lp.c.size
+    num_col = lp.num_variables
     num_row = lp.num_rows
-    highs_lp.num_col_ = num_col
-    highs_lp.num_row_ = num_row
-    highs_lp.col_cost_ = lp.c
-    highs_lp.col_lower_ = _highs_inf(lb)
-    highs_lp.col_upper_ = _highs_inf(ub)
-    highs_lp.row_lower_ = _highs_inf(lp.row_lower)
-    highs_lp.row_upper_ = lp.row_upper
-    matrix = highs_lp.a_matrix_
-    matrix.num_col_ = num_col
-    matrix.num_row_ = num_row
-    matrix.format_ = _h.MatrixFormat.kColwise
-    # The bindings copy float arrays through the buffer protocol but int
-    # arrays element by element; a list of Python ints converts faster.
-    matrix.start_ = lp.start.tolist()
-    matrix.index_ = lp.index.tolist()
-    matrix.value_ = lp.value
 
     highs = _h._Highs()
     for key, value in _OPTIONS:
         highs.setOptionValue(key, value)
     if time_limit is not None:
         highs.setOptionValue("time_limit", float(time_limit))
-    if highs.passModel(highs_lp) == _h.HighsStatus.kError:
+    passed = highs.passModel(
+        num_col, num_row, lp.num_nonzeros, _COLWISE, _MINIMIZE, 0.0,
+        lp.c, _highs_inf(lb), _highs_inf(ub), _highs_inf(lp.row_lower), lp.row_upper,
+        lp.start, lp.index, lp.value, np.zeros(num_col, dtype=np.int32),
+    )
+    if passed == _h.HighsStatus.kError:
         model_status = _MS.kModelError
     else:
         highs.run()
@@ -224,7 +222,7 @@ class HighsBackend:
 
     def __call__(
         self,
-        model: LinearProgram,
+        model: LinearProgram | ColwiseLP,
         *,
         time_limit: float | None = None,
     ) -> LPSolution:

@@ -1,17 +1,16 @@
-"""A small linear-program model builder.
+"""A small linear-program model builder and the array form HiGHS solves.
 
-The TISE relaxation of Section 3 and the machine-minimization LPs of
-Section 4's black boxes are assembled through this builder, which keeps
-constraint matrices sparse (COO triplets) so that instances with tens of
-thousands of ``X_{jt}`` variables stay cheap to construct — the hot path is
-matrix assembly, so triplets are buffered in flat Python lists and converted
-to numpy arrays once (see the hpc-parallel guide: vectorize the bulk
-operation, not the bookkeeping).
+The machine-minimization LPs of Section 4's black boxes are assembled row
+by row through :class:`LinearProgram`, which buffers constraint triplets in
+flat Python lists and converts them to numpy arrays once.  The TISE
+relaxation of Section 3 is larger and rebuilt every point-generation round,
+so :mod:`repro.longwindow.lp_relaxation` emits its :class:`ColwiseLP`
+directly from numpy, with no per-row step.
 
 :mod:`repro.lp.highs` solves the column-wise export
-(:meth:`LinearProgram.to_colwise`) and returns an :class:`LPSolution`; the
-row blocks of :meth:`LinearProgram.to_standard_arrays` serve SciPy's MILP
-interface and independent checks of a solution.
+(:meth:`LinearProgram.to_colwise`, a :class:`ColwiseLP`) and returns an
+:class:`LPSolution`; the row blocks of :meth:`ColwiseLP.to_standard_arrays`
+serve SciPy's MILP interface and independent checks of a solution.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ _SENSE_CODE = {Sense.LE: 0, Sense.GE: 1, Sense.EQ: 2}
 
 @dataclass(frozen=True)
 class ColwiseLP:
-    """A :class:`LinearProgram` as ``row_lower <= A x <= row_upper, lb <= x <= ub``.
+    """An LP as ``row_lower <= A x <= row_upper, lb <= x <= ub``, minimising ``c.x``.
 
     ``A`` is column-wise (CSC): column ``j``'s row indices are
     ``index[start[j]:start[j+1]]`` (ascending, no duplicates) with
@@ -126,6 +125,11 @@ class ColwiseLP:
     first ``num_ineq`` are the LE and GE rows in model order (GE rows
     negated, ``row_lower = -inf``), then the EQ rows
     (``row_lower == row_upper``).
+
+    It is what the HiGHS backend solves.  A :class:`LinearProgram` exports
+    one (:meth:`LinearProgram.to_colwise`); the TISE LP builder emits one
+    directly.  Both answer the same input protocol (``name``,
+    :meth:`dims`, :attr:`num_variables`, :meth:`to_colwise`).
     """
 
     c: np.ndarray
@@ -137,10 +141,85 @@ class ColwiseLP:
     lb: np.ndarray
     ub: np.ndarray
     num_ineq: int
+    name: str = ""
 
     @property
     def num_rows(self) -> int:
         return int(self.row_upper.size)
+
+    @property
+    def num_variables(self) -> int:
+        return int(self.c.size)
+
+    @property
+    def num_nonzeros(self) -> int:
+        return int(self.value.size)
+
+    def dims(self) -> str:
+        """Compact ``rows x cols (nnz)`` summary for diagnostics."""
+        return f"{self.num_rows}x{self.num_variables} ({self.num_nonzeros} nnz)"
+
+    def to_colwise(self) -> ColwiseLP:
+        return self
+
+    def to_standard_arrays(
+        self,
+    ) -> tuple[np.ndarray, sparse.csr_matrix | None, np.ndarray | None,
+               sparse.csr_matrix | None, np.ndarray | None, np.ndarray, np.ndarray]:
+        """Export ``(c, A_ub, b_ub, A_eq, b_eq, lb, ub)``.
+
+        The row split at ``num_ineq``.  Matrix blocks are canonical CSR
+        (sorted column indices) and None when the model has no rows of that
+        kind (SciPy's expected convention).
+        """
+        nvar = self.num_variables
+        k = self.num_ineq
+        rows = self.index.astype(np.int64)
+        cols = np.repeat(np.arange(nvar, dtype=np.int32), np.diff(self.start))
+        # A stable sort by row keeps each row's columns ascending.
+        by_row = np.argsort(rows, kind="stable")
+        rows = rows[by_row]
+        cols = cols[by_row]
+        vals = self.value[by_row]
+
+        def block(
+            lo: int, hi: int
+        ) -> tuple[sparse.csr_matrix | None, np.ndarray | None]:
+            if lo == hi:
+                return None, None
+            indptr = np.searchsorted(rows, np.arange(lo, hi + 1)).astype(np.int32)
+            first, last = indptr[0], indptr[-1]
+            mat = sparse.csr_matrix(
+                (vals[first:last], cols[first:last], indptr - first),
+                shape=(hi - lo, nvar),
+            )
+            return mat, self.row_upper[lo:hi].copy()
+
+        a_ub, b_ub = block(0, k)
+        a_eq, b_eq = block(k, self.num_rows)
+        return self.c, a_ub, b_ub, a_eq, b_eq, self.lb, self.ub
+
+    def constraint_violation(self, x: np.ndarray, eps: float = 1e-7) -> float:
+        """Maximum violation of any constraint/bound at point ``x``.
+
+        Used by tests to cross-check solver outputs independently.
+        """
+        c, a_ub, b_ub, a_eq, b_eq, lb, ub = self.to_standard_arrays()
+        worst = 0.0
+        if a_ub is not None:
+            worst = max(worst, float(np.max(a_ub @ x - b_ub, initial=0.0)))
+        if a_eq is not None:
+            worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)))
+        worst = max(worst, float(np.max(lb - x, initial=0.0)))
+        finite_ub = np.isfinite(ub)
+        if finite_ub.any():
+            worst = max(
+                worst, float(np.max((x - ub)[finite_ub], initial=0.0))
+            )
+        return worst
+
+    def objective_value(self, x: np.ndarray) -> float:
+        return float(np.dot(self.c, x))
 
 
 class LinearProgram:
@@ -148,20 +227,14 @@ class LinearProgram:
 
     Variables are referenced by the integer index returned from
     :meth:`add_variable`; optional names support debugging and tests.
-
-    ``track_names=False`` turns off name storage entirely: on hot builder
-    paths (the TISE LP emits one f-string per variable otherwise) name
-    construction is measurable overhead, and the solver backends never need
-    names.  Nameless models answer :meth:`variable_name` with the positional
-    fallback ``x<index>``.
     """
 
-    def __init__(self, name: str = "", *, track_names: bool = True) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
         self._obj: list[float] = []
         self._lb: list[float] = []
         self._ub: list[float] = []
-        self._names: list[str] | None = [] if track_names else None
+        self._names: list[str] = []
         # Constraint triplets, kept flat for cheap bulk conversion.
         self._rows: list[int] = []
         self._cols: list[int] = []
@@ -185,10 +258,6 @@ class LinearProgram:
         """Structurally nonzero coefficients across all constraint rows."""
         return len(self._vals)
 
-    @property
-    def track_names(self) -> bool:
-        return self._names is not None
-
     def dims(self) -> str:
         """Compact ``rows x cols (nnz)`` summary for diagnostics."""
         return (
@@ -209,8 +278,7 @@ class LinearProgram:
         self._obj.append(float(objective))
         self._lb.append(float(lower))
         self._ub.append(float(upper))
-        if self._names is not None:
-            self._names.append(name or f"x{len(self._obj) - 1}")
+        self._names.append(name or f"x{len(self._obj) - 1}")
         return len(self._obj) - 1
 
     def add_variables(
@@ -249,8 +317,6 @@ class LinearProgram:
     def variable_name(self, index: int) -> str:
         if not (0 <= index < self.num_variables):
             raise IndexError(f"variable index {index} out of range")
-        if self._names is None:
-            return f"x{index}"
         return self._names[index]
 
     # ------------------------------------------------------------------
@@ -303,65 +369,20 @@ class LinearProgram:
             lb=np.asarray(self._lb, dtype=float),
             ub=np.asarray(self._ub, dtype=float),
             num_ineq=int(nrow - np.count_nonzero(is_eq)),
+            name=self.name,
         )
 
     def to_standard_arrays(
         self,
     ) -> tuple[np.ndarray, sparse.csr_matrix | None, np.ndarray | None,
                sparse.csr_matrix | None, np.ndarray | None, np.ndarray, np.ndarray]:
-        """Export ``(c, A_ub, b_ub, A_eq, b_eq, lb, ub)``.
-
-        The row split of :meth:`to_colwise`: GE rows negated into LE form,
-        duplicate terms summed.  Matrix blocks are canonical CSR (sorted
-        column indices) and None when the model has no rows of that kind
-        (SciPy's expected convention).
-        """
-        lp = self.to_colwise()
-        nvar = self.num_variables
-        k = lp.num_ineq
-        rows = lp.index.astype(np.int64)
-        cols = np.repeat(np.arange(nvar, dtype=np.int32), np.diff(lp.start))
-        # A stable sort by row keeps each row's columns ascending.
-        by_row = np.argsort(rows, kind="stable")
-        rows = rows[by_row]
-        cols = cols[by_row]
-        vals = lp.value[by_row]
-
-        def block(
-            lo: int, hi: int
-        ) -> tuple[sparse.csr_matrix | None, np.ndarray | None]:
-            if lo == hi:
-                return None, None
-            indptr = np.searchsorted(rows, np.arange(lo, hi + 1)).astype(np.int32)
-            first, last = indptr[0], indptr[-1]
-            mat = sparse.csr_matrix(
-                (vals[first:last], cols[first:last], indptr - first),
-                shape=(hi - lo, nvar),
-            )
-            return mat, lp.row_upper[lo:hi].copy()
-
-        a_ub, b_ub = block(0, k)
-        a_eq, b_eq = block(k, lp.num_rows)
-        return lp.c, a_ub, b_ub, a_eq, b_eq, lp.lb, lp.ub
+        """:meth:`ColwiseLP.to_standard_arrays` of :meth:`to_colwise`."""
+        return self.to_colwise().to_standard_arrays()
 
     def constraint_violation(self, x: np.ndarray, eps: float = 1e-7) -> float:
-        """Maximum violation of any constraint/bound at point ``x``.
-
-        Used by tests to cross-check solver outputs independently.
-        """
-        c, a_ub, b_ub, a_eq, b_eq, lb, ub = self.to_standard_arrays()
-        worst = 0.0
-        if a_ub is not None:
-            worst = max(worst, float(np.max(a_ub @ x - b_ub, initial=0.0)))
-        if a_eq is not None:
-            worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)))
-        worst = max(worst, float(np.max(lb - x, initial=0.0)))
-        finite_ub = np.isfinite(ub)
-        if finite_ub.any():
-            worst = max(
-                worst, float(np.max((x - ub)[finite_ub], initial=0.0))
-            )
-        return worst
+        """:meth:`ColwiseLP.constraint_violation` of :meth:`to_colwise`."""
+        return self.to_colwise().constraint_violation(x, eps)
 
     def objective_value(self, x: np.ndarray) -> float:
-        return float(np.dot(np.asarray(self._obj, dtype=float), x))
+        """:meth:`ColwiseLP.objective_value` of :meth:`to_colwise`."""
+        return self.to_colwise().objective_value(x)

@@ -49,7 +49,7 @@ import numpy as np
 from ..core.errors import SolverError, StageTimeoutError
 from ..core.job import Job
 from ..core.schedule import ScheduledJob
-from ..lp import BACKENDS, LinearProgram, LPSolution, LPStatus, get_backend
+from ..lp import BACKENDS, ColwiseLP, LinearProgram, LPSolution, LPStatus, get_backend
 from ..mm.base import MMAlgorithm, MMSchedule
 from ..mm.registry import MM_ALGORITHMS, get_mm_algorithm
 
@@ -134,7 +134,7 @@ class FaultyLPBackend:
 
     def __call__(
         self,
-        model: LinearProgram,
+        model: LinearProgram | ColwiseLP,
         *,
         time_limit: float | None = None,
     ) -> LPSolution:

@@ -8,6 +8,7 @@ degrades to serial rather than erroring.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -32,6 +33,10 @@ from repro.testing import FakeClock
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _identity(x: object) -> object:
+    return x
 
 
 def _raise_on_three(x: int) -> int:
@@ -124,6 +129,26 @@ class TestParallelMapModes:
                 lambda x: x + offset, self.ITEMS, max_workers=4
             )
         assert got == [x + offset for x in self.ITEMS]
+
+
+    @pytest.mark.parametrize("unpicklable", ["fn", "item"])
+    def test_unpicklable_task_falls_back_under_return_exceptions(self, unpicklable):
+        # Pickling fails before any task runs, so it is a pool failure, not
+        # a task error to file in every slot.
+        lock = threading.Lock()
+        if unpicklable == "fn":
+            fn, items, expected = (lambda x: x + 1), [1, 2, 3], [2, 3, 4]
+        else:
+            fn, items, expected = _identity, [1, lock, 3], [1, lock, 3]
+        seen: list[int] = []
+        with pytest.warns(ParallelFallbackWarning, match="fell back to serial"):
+            got = parallel_map(
+                fn, items, max_workers=2, return_exceptions=True,
+                on_result=lambda index, _: seen.append(index),
+            )
+        assert got == expected
+        assert seen == [0, 1, 2]
+        assert last_fallback_reason() is not None
 
 
 class TestObservableFallback:

@@ -334,34 +334,6 @@ CASES = [
         ),
     ),
     RuleCase(
-        code="ISE015",
-        hit=(
-            "from repro.core.certify import SolveCertificate\n"
-            "from repro.core.solver import ISEResult\n"
-            "\n"
-            "def attach(result: ISEResult, cert: SolveCertificate) -> ISEResult:\n"
-            "    result.certificate = cert\n"
-            "    return result\n"
-        ),
-        suppressed=(
-            "from repro.core.certify import SolveCertificate\n"
-            "from repro.core.solver import ISEResult\n"
-            "\n"
-            "def attach(result: ISEResult, cert: SolveCertificate) -> ISEResult:\n"
-            "    result.certificate = cert  # repro-lint: disable=ISE015\n"
-            "    return result\n"
-        ),
-        clean=(
-            "from dataclasses import replace\n"
-            "\n"
-            "from repro.core.certify import SolveCertificate\n"
-            "from repro.core.solver import ISEResult\n"
-            "\n"
-            "def attach(result: ISEResult, cert: SolveCertificate) -> ISEResult:\n"
-            "    return replace(result, certificate=cert)\n"
-        ),
-    ),
-    RuleCase(
         code="ISE016",
         hit=(
             "from repro.online import ISESession\n"

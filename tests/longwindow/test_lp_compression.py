@@ -5,8 +5,8 @@ Lemma 3 pool and stops when no pool point prices out.  On every instance it
 must reach the optimum of the literal LP over the whole pool (and the same
 Algorithm 1 rounded calibration count on this suite), while its final
 restricted LP is never larger.  These tests pin that, plus the supporting
-machinery: the coverage prune of the pool, per-job feasible ranges,
-nameless builds, and the indexed ``job_coverage``.
+machinery: the coverage prune of the pool, per-job feasible ranges and
+the indexed ``job_coverage``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def jobs_and_T(request):
 
 def _full_lp(jobs, T, machine_budget):
     """The literal LP over the whole pool, solved by HiGHS in one go."""
-    model = build_tise_lp(jobs, T, machine_budget, names=False)
+    model = build_tise_lp(jobs, T, machine_budget)
     solution = get_backend("highs")(model.lp)
     assert solution.ok
     return model, solution
@@ -89,7 +89,7 @@ class TestFormulationEquivalence:
 
     def test_compressed_is_never_larger(self, jobs_and_T):
         jobs, T = jobs_and_T
-        full = build_tise_lp(jobs, T, 3, names=False)
+        full = build_tise_lp(jobs, T, 3)
         restricted = solve_tise_lp(jobs, T, 3)
         for key in ("rows", "cols", "nnz", "machine_nnz", "points"):
             assert restricted.stats[key] <= full.stats[key], key
@@ -169,16 +169,6 @@ class TestSolutionIndexes:
             )
             assert solution.job_coverage(job.job_id) == pytest.approx(manual)
         assert solution.job_coverage(10_000) == 0.0
-
-    def test_nameless_build_still_reports_names(self, jobs_and_T):
-        jobs, T = jobs_and_T
-        named = build_tise_lp(jobs, T, 2, names=True)
-        nameless = build_tise_lp(jobs, T, 2, names=False)
-        assert not nameless.lp.track_names
-        assert named.lp.track_names
-        # The fallback synthesizes positional names instead of crashing.
-        assert nameless.lp.variable_name(0) == "x0"
-        assert named.lp.variable_name(0) != "x0" or named.lp.num_cols == 0
 
     def test_stats_attached_to_solution(self, jobs_and_T):
         jobs, T = jobs_and_T

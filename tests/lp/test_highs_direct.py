@@ -29,6 +29,7 @@ from repro.core.errors import SolverError, StageTimeoutError
 from repro.core.solver import solve_ise
 from repro.instances import long_window_instance, mixed_instance
 from repro.lp import LinearProgram, LPSolution, LPStatus, Sense, solve_highs
+from repro.lp.model import ColwiseLP
 from repro.lp.highs import FEASIBILITY_TOL, feasibility_violation
 
 # --------------------------------------------------------------------------
@@ -36,7 +37,36 @@ from repro.lp.highs import FEASIBILITY_TOL, feasibility_violation
 # --------------------------------------------------------------------------
 
 
-def _reference_standard_arrays(model: LinearProgram):
+def _triplets(model: LinearProgram | ColwiseLP):
+    """``(c, lb, ub, rows, cols, vals, senses, rhs)`` as the model holds them.
+
+    A :class:`ColwiseLP` (what the TISE builder emits) reads as LE rows up
+    to ``num_ineq`` and EQ rows after, each with right-hand side
+    ``row_upper``.
+    """
+    if isinstance(model, ColwiseLP):
+        k, nrow = model.num_ineq, model.num_rows
+        return (
+            model.c, model.lb, model.ub,
+            model.index.astype(np.int64),
+            np.repeat(np.arange(model.num_variables, dtype=np.int64), np.diff(model.start)),
+            model.value,
+            [Sense.LE] * k + [Sense.EQ] * (nrow - k),
+            model.row_upper,
+        )
+    return (
+        np.asarray(model._obj, dtype=float),
+        np.asarray(model._lb, dtype=float),
+        np.asarray(model._ub, dtype=float),
+        np.asarray(model._rows, dtype=np.int64),
+        np.asarray(model._cols, dtype=np.int64),
+        np.asarray(model._vals, dtype=float),
+        model._senses,
+        np.asarray(model._rhs, dtype=float),
+    )
+
+
+def _reference_standard_arrays(model: LinearProgram | ColwiseLP):
     """``(c, A_ub, b_ub, A_eq, b_eq, lb, ub)`` built row block by row block.
 
     The straightforward per-nonzero exporter: select each block's triplets,
@@ -44,14 +74,7 @@ def _reference_standard_arrays(model: LinearProgram):
     sum duplicates.
     """
     nvar = model.num_variables
-    c = np.asarray(model._obj, dtype=float)
-    lb = np.asarray(model._lb, dtype=float)
-    ub = np.asarray(model._ub, dtype=float)
-    rows = np.asarray(model._rows, dtype=np.int64)
-    cols = np.asarray(model._cols, dtype=np.int64)
-    vals = np.asarray(model._vals, dtype=float)
-    senses = model._senses
-    rhs = np.asarray(model._rhs, dtype=float)
+    c, lb, ub, rows, cols, vals, senses, rhs = _triplets(model)
 
     def build(selected, flip_ge):
         if not selected:
@@ -78,7 +101,7 @@ def _reference_standard_arrays(model: LinearProgram):
     return c, a_ub, b_ub, a_eq, b_eq, lb, ub
 
 
-def _linprog_solution(model: LinearProgram, time_limit: float | None = None) -> LPSolution:
+def _linprog_solution(model: LinearProgram | ColwiseLP, time_limit: float | None = None) -> LPSolution:
     """What ``solve_highs`` returned when it called ``linprog``."""
     c, a_ub, b_ub, a_eq, b_eq, lb, ub = _reference_standard_arrays(model)
     if model.num_variables == 0:
@@ -124,7 +147,7 @@ def _assert_bit_identical(got: LPSolution, want: LPSolution) -> None:
     assert got.iterations == want.iterations
 
 
-def _assert_same_standard_arrays(model: LinearProgram) -> None:
+def _assert_same_standard_arrays(model: LinearProgram | ColwiseLP) -> None:
     got = model.to_standard_arrays()
     want = _reference_standard_arrays(model)
     for g, w in zip(got, want):
@@ -151,12 +174,12 @@ _CORPUS = [
 
 
 @pytest.fixture(scope="module")
-def solve_ise_lps() -> list[tuple[LinearProgram, float | None]]:
+def solve_ise_lps() -> list[tuple[ColwiseLP, float | None]]:
     """Snapshots of every model ``solve_ise`` hands to the HiGHS backend."""
-    seen: list[tuple[LinearProgram, float | None]] = []
+    seen: list[tuple[ColwiseLP, float | None]] = []
     original = lp_pkg.BACKENDS["highs"]
 
-    def recorder(model: LinearProgram, *, time_limit: float | None = None) -> LPSolution:
+    def recorder(model: ColwiseLP, *, time_limit: float | None = None) -> LPSolution:
         seen.append((copy.deepcopy(model), time_limit))
         return original(model, time_limit=time_limit)
 
@@ -171,7 +194,9 @@ def solve_ise_lps() -> list[tuple[LinearProgram, float | None]]:
 
 def test_every_solve_ise_lp_matches_linprog(solve_ise_lps):
     assert len(solve_ise_lps) >= len(_CORPUS)
-    assert any(model.num_constraints >= 100 for model, _ in solve_ise_lps)
+    # The TISE builder hands HiGHS its arrays, not a row-by-row model.
+    assert all(isinstance(model, ColwiseLP) for model, _ in solve_ise_lps)
+    assert any(model.num_rows >= 100 for model, _ in solve_ise_lps)
     for model, time_limit in solve_ise_lps:
         _assert_bit_identical(
             solve_highs(model, time_limit=time_limit),
@@ -338,7 +363,7 @@ def test_zero_time_limit_raises():
 def _slow_model(n: int = 150, seed: int = 7) -> LinearProgram:
     """A dense random covering LP HiGHS needs many iterations for."""
     rng = np.random.default_rng(seed)
-    lp = LinearProgram("slow", track_names=False)
+    lp = LinearProgram("slow")
     cols = [lp.add_variable(float(rng.uniform(1.0, 2.0))) for _ in range(n)]
     for _ in range(n):
         lp.add_constraint(

@@ -39,7 +39,7 @@ REL = 1e-7
 
 def _full_objective(jobs, T, machine_budget, points=None):
     """The LP over the whole pool, or None when it is infeasible."""
-    model = build_tise_lp(jobs, T, machine_budget, points, names=False)
+    model = build_tise_lp(jobs, T, machine_budget, points)
     solution = get_backend("highs")(model.lp)
     if solution.status is LPStatus.INFEASIBLE:
         return None
@@ -157,7 +157,7 @@ def test_full_lp_optimum_is_dual_certified(n, seed):
     # The oracle is itself checked: its row duals prove its optimum, so the
     # point-generated value matches a certified number, not just HiGHS.
     instance = long_window_instance(n, 1, 10.0, seed).instance
-    model = build_tise_lp(instance.jobs, 10.0, 3, names=False)
+    model = build_tise_lp(instance.jobs, 10.0, 3)
     full = get_backend("highs")(model.lp)
     assert_lp_certified(model.lp, full)
     generated = solve_tise_lp(instance.jobs, 10.0, 3)
