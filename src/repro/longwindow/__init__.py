@@ -21,6 +21,7 @@ from .calibration_points import (
 )
 from .canonical import CanonicalizationResult, canonicalize
 from .edf import (
+    EDFAssignment,
     FractionalEDFResult,
     assign_jobs_edf,
     fractional_edf,
@@ -60,6 +61,7 @@ __all__ = [
     "AugmentedRoundingResult",
     "FractionalAssignment",
     "augmented_round",
+    "EDFAssignment",
     "assign_jobs_edf",
     "fractional_edf",
     "fractional_to_integer",

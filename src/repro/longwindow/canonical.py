@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..core.calibration import Calibration, CalibrationSchedule
 from ..core.errors import InvalidScheduleError
 from ..core.job import Instance
 from ..core.schedule import Schedule, ScheduledJob
-from ..core.tolerance import EPS, geq
+from ..core.tolerance import EPS
 
-__all__ = ["CanonicalizationResult", "canonicalize"]
+__all__ = ["CanonicalizationResult", "canonicalize", "canonical_schedule"]
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,11 @@ def canonicalize(instance: Instance, schedule: Schedule) -> CanonicalizationResu
     restriction excludes — the shift never passes ``r_j`` for any job in the
     calibration because ``r_j`` is a limit point ``<=`` the calibration's
     start under the TISE constraint.
+
+    Each job goes with the calibration :meth:`Schedule.enclosing_calibration`
+    finds for it; :func:`canonical_schedule` does the slide.
     """
-    T = schedule.calibration_length
     job_map = instance.job_map()
-    releases = sorted({j.release for j in instance.jobs})
 
     # Group placements by their enclosing calibration.
     jobs_in_cal: dict[tuple[float, int], list[ScheduledJob]] = {}
@@ -77,49 +78,76 @@ def canonicalize(instance: Instance, schedule: Schedule) -> CanonicalizationResu
             )
         jobs_in_cal.setdefault((cal.start, cal.machine), []).append(placement)
 
+    return canonical_schedule(
+        (
+            (cal, jobs_in_cal.get((cal.start, cal.machine), ()))
+            for cal in schedule.calibrations
+        ),
+        sorted({j.release for j in instance.jobs}),
+        schedule.calibrations.num_machines,
+        schedule.calibration_length,
+        schedule.speed,
+    )
+
+
+def canonical_schedule(
+    groups: Iterable[tuple[Calibration, Sequence[ScheduledJob]]],
+    releases: Sequence[float],
+    num_machines: int,
+    calibration_length: float,
+    speed: float = 1.0,
+) -> CanonicalizationResult:
+    """Lemma 3's slide over ``(calibration, its placements)`` pairs.
+
+    ``groups`` must list each machine's calibrations in time order;
+    ``releases`` are the instance's sorted release times.  Every placement
+    lands on its calibration's machine at its old offset from the new start.
+    The result is one :class:`Schedule` on ``num_machines`` machines.
+    """
+    T = calibration_length
     new_cals: list[Calibration] = []
     new_placements: list[ScheduledJob] = []
+    prev_end: dict[int, float] = {}
     total_shift = 0.0
     moved = 0
 
-    for machine in range(schedule.calibrations.num_machines):
-        prev_end = float("-inf")
-        for cal in schedule.calibrations.on_machine(machine):
-            # Largest release time <= current start (or -inf if none).
-            idx = bisect.bisect_right(releases, cal.start + EPS) - 1
-            release_floor = releases[idx] if idx >= 0 else float("-inf")
-            new_start = max(prev_end, release_floor)
-            if new_start == float("-inf"):
-                # No limit point at all (no jobs anywhere earlier): Lemma 3's
-                # optimal solutions contain no such empty leading
-                # calibration, but an input may; leave it in place.
-                new_start = cal.start
-            new_start = min(new_start, cal.start)  # only ever move earlier
-            shift = cal.start - new_start
-            if shift > EPS:
-                moved += 1
-                total_shift += shift
-            new_cals.append(Calibration(start=new_start, machine=machine))
-            for placement in jobs_in_cal.get((cal.start, cal.machine), []):
-                # Offset from the new start, so a job that began with its
-                # calibration still does, to the last bit.
-                new_placements.append(
-                    ScheduledJob(
-                        start=new_start + (placement.start - cal.start),
-                        machine=machine,
-                        job_id=placement.job_id,
-                    )
+    for cal, placements in groups:
+        machine = cal.machine
+        # Largest release time <= current start (or -inf if none).
+        idx = bisect.bisect_right(releases, cal.start + EPS) - 1
+        release_floor = releases[idx] if idx >= 0 else float("-inf")
+        new_start = max(prev_end.get(machine, float("-inf")), release_floor)
+        if new_start == float("-inf"):
+            # No limit point at all (no jobs anywhere earlier): Lemma 3's
+            # optimal solutions contain no such empty leading
+            # calibration, but an input may; leave it in place.
+            new_start = cal.start
+        new_start = min(new_start, cal.start)  # only ever move earlier
+        shift = cal.start - new_start
+        if shift > EPS:
+            moved += 1
+            total_shift += shift
+        new_cals.append(Calibration(start=new_start, machine=machine))
+        for placement in placements:
+            # Offset from the new start, so a job that began with its
+            # calibration still does, to the last bit.
+            new_placements.append(
+                ScheduledJob(
+                    start=new_start + (placement.start - cal.start),
+                    machine=machine,
+                    job_id=placement.job_id,
                 )
-            prev_end = new_start + T
+            )
+        prev_end[machine] = new_start + T
 
     canonical = Schedule(
         calibrations=CalibrationSchedule(
             calibrations=tuple(new_cals),
-            num_machines=schedule.calibrations.num_machines,
+            num_machines=num_machines,
             calibration_length=T,
         ),
         placements=tuple(new_placements),
-        speed=schedule.speed,
+        speed=speed,
     )
     return CanonicalizationResult(
         schedule=canonical, total_shift=total_shift, moved_calibrations=moved

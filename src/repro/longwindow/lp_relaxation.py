@@ -300,21 +300,41 @@ def _knapsack_values(
     """The fractional knapsack ``K(t)`` at every pool index at once.
 
     Job ``j`` (value ``y[j]``, weight ``proc[j]``) is available at the pool
-    indices ``[lo[j], hi[j])``.  Jobs enter in decreasing ``y_j / p_j``
-    order, each over its whole index range, and take whatever capacity
-    those points have left — the greedy that solves a fractional knapsack,
-    run at all points together in ``O(size)`` memory.
+    indices ``[lo[j], hi[j])``.  At each index the greedy that solves a
+    fractional knapsack takes the jobs with ``y_j > 0`` in decreasing
+    ``y_j / p_j`` order, each as much as the capacity left allows.
+
+    Those jobs enter and leave at their ``lo``/``hi`` bounds, so every index
+    between two consecutive bounds sees the same jobs and gets the same
+    value: the greedy runs once per such segment (at most ``2n + 1``), and
+    each segment's value is repeated over its indices.  It runs in waves:
+    wave ``r`` hands every segment its ``r``-th job, so each segment does
+    the per-index greedy's float operations in the per-index order.
     """
-    gain = np.zeros(size)
-    used = np.zeros(size)
     positive = np.flatnonzero(y > 0.0)
-    for j in positive[np.argsort(-y[positive] / proc[positive], kind="stable")]:
-        a, b, p = lo[j], hi[j], proc[j]
+    if not positive.size:
+        return np.zeros(size)
+    order = positive[np.argsort(-y[positive] / proc[positive], kind="stable")]
+    a, b = lo[order], hi[order]
+    bounds = np.unique(np.concatenate(([0], a, b)))  # segment starts
+    segment = np.arange(bounds.size)[:, None]
+    covers = (np.searchsorted(bounds, a) <= segment) & (segment < np.searchsorted(bounds, b))
+    # Row-major, so each segment's jobs come in greedy order; ``rank`` is a
+    # job's place among its segment's jobs.
+    rows, cols = np.nonzero(covers)
+    counts = covers.sum(axis=1)
+    rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    value, weight = y[order][cols], proc[order][cols]
+    gain = np.zeros(bounds.size)
+    used = np.zeros(bounds.size)
+    by_rank = np.argsort(rank, kind="stable")
+    for wave in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
+        seg, p = rows[wave], weight[wave]  # one entry per segment
         # np.clip's value, without its per-call Python dispatch.
-        take = np.minimum(np.maximum((capacity - used[a:b]) / p, 0.0), 1.0)
-        gain[a:b] += y[j] * take
-        used[a:b] += p * take
-    return gain
+        take = np.minimum(np.maximum((capacity - used[seg]) / p, 0.0), 1.0)
+        gain[seg] += value[wave] * take
+        used[seg] += p * take
+    return np.repeat(gain, np.diff(bounds, append=size))
 
 
 class _Round(NamedTuple):

@@ -11,7 +11,10 @@ Given a feasible long-window ISE instance on ``m`` machines, the pipeline
 
 then slides every calibration back to Lemma 3's normal form (a release time
 or the end of the previous calibration on its machine, see
-:func:`~repro.longwindow.canonical.canonicalize`).  The LP lands on the
+:func:`~repro.longwindow.canonical.canonicalize`).  Algorithm 2 hands over
+each calibration's jobs, so the calibrations it left empty are dropped, the
+machines still in use are numbered densely and the slide runs in the same
+pass, with no search for any job's calibration.  The LP lands on the
 latest optimal points, and the slide changes no count: it only starts work
 as early as the schedule allows, which is what an online session's commit
 horizon locks.  The result keeps Theorem 12's total of at most ``18 m``
@@ -36,6 +39,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
+from ..core.calibration import Calibration
 from ..core.errors import InvalidInstanceError, SolverError
 from ..core.job import Instance
 from ..core.resilience import (
@@ -49,10 +53,10 @@ from ..core.schedule import Schedule
 from ..core.tolerance import LOOSE_EPS
 from ..core.validate import check_ise, check_tise
 from .calibration_points import potential_calibration_points
-from .canonical import canonicalize
+from .canonical import canonical_schedule
 from .lp_relaxation import TiseLPSolution, solve_tise_lp
 from .rounding import RoundingResult, round_calibrations, round_calibrations_ceil
-from .edf import assign_jobs_edf
+from .edf import EDFAssignment, assign_jobs_edf
 from .speed_tradeoff import SpeedTradeoffResult, machines_to_speed
 
 __all__ = ["LongWindowConfig", "LongWindowResult", "LongWindowSolver"]
@@ -164,6 +168,29 @@ def _check_lp_coverage(jobs, solution: TiseLPSolution) -> None:
             )
 
 
+def canonical_tail(instance: Instance, edf: EDFAssignment, prune_empty: bool) -> Schedule:
+    """Algorithm 2's output in Lemma 3's form, built once.
+
+    EDF names each job's calibration, so no job's calibration is searched
+    for: the calibrations it left empty are dropped (when ``prune_empty``),
+    the machines still in use are numbered densely in their old order, and
+    every calibration slides with its jobs as
+    :func:`~repro.longwindow.canonical.canonicalize` would slide it.
+    """
+    kept = [
+        (cal, group)
+        for cal, group in zip(edf.calendar.calibrations, edf.groups)
+        if group or not prune_empty
+    ]
+    dense = {m: k for k, m in enumerate(sorted({cal.machine for cal, _ in kept}))}
+    return canonical_schedule(
+        ((Calibration(cal.start, dense[cal.machine]), group) for cal, group in kept),
+        sorted({j.release for j in instance.jobs}),
+        len(dense),
+        edf.calendar.calibration_length,
+    ).schedule
+
+
 class LongWindowSolver:
     """Theorem 12 solver for instances whose jobs all have long windows."""
 
@@ -253,21 +280,14 @@ class LongWindowSolver:
         times["rounding"] = time.perf_counter() - tic
 
         tic = time.perf_counter()
-        schedule = assign_jobs_edf(instance.jobs, rounding.schedule, mirror=True)
+        edf = assign_jobs_edf(instance.jobs, rounding.schedule, mirror=True)
         times["edf"] = time.perf_counter() - tic
-        unpruned = schedule.num_calibrations
+        unpruned = edf.calendar.num_calibrations
 
-        if cfg.prune_empty:
-            schedule = schedule.prune_empty_calibrations(
-                {j.job_id: j.processing for j in instance.jobs}
-            )
         tic = time.perf_counter()
-        schedule = canonicalize(instance, schedule).schedule
+        schedule = canonical_tail(instance, edf, cfg.prune_empty)
         times["canonicalize"] = time.perf_counter() - tic
-        machines_used = len(
-            {c.machine for c in schedule.calibrations}
-            | {p.machine for p in schedule.placements}
-        )
+        machines_used = schedule.num_machines
         if cfg.validate:
             tic = time.perf_counter()
             check_tise(instance, schedule, context="long-window pipeline")

@@ -50,7 +50,7 @@ class TestAlgorithm2:
         T = 10.0
         gen = long_window_instance(n=12, machines=2, calibration_length=T, seed=seed)
         calendar = _pipeline_calendar(gen, T)
-        schedule = assign_jobs_edf(gen.instance.jobs, calendar)
+        schedule = assign_jobs_edf(gen.instance.jobs, calendar).schedule
         report = validate_tise(gen.instance, schedule)
         assert report.ok, report.summary()
         assert schedule.scheduled_job_ids() == {
@@ -61,7 +61,7 @@ class TestAlgorithm2:
         T = 10.0
         gen = long_window_instance(n=8, machines=1, calibration_length=T, seed=1)
         calendar = _pipeline_calendar(gen, T)
-        schedule = assign_jobs_edf(gen.instance.jobs, calendar)
+        schedule = assign_jobs_edf(gen.instance.jobs, calendar).schedule
         assert schedule.num_machines == 2 * calendar.num_machines
         assert schedule.num_calibrations == 2 * calendar.num_calibrations
 
@@ -84,7 +84,7 @@ class TestAlgorithm2:
             calibrations=(Calibration(0.0, 0),), num_machines=1,
             calibration_length=T,
         )
-        schedule = assign_jobs_edf(jobs, calendar, mirror=False)
+        schedule = assign_jobs_edf(jobs, calendar, mirror=False).schedule
         starts = {p.job_id: p.start for p in schedule.placements}
         # Earliest deadline (job 2) first.
         assert starts[2] < starts[1] < starts[0]
@@ -105,7 +105,7 @@ class TestAlgorithm2:
             num_machines=1,
             calibration_length=T,
         )
-        schedule = assign_jobs_edf(jobs, calendar, mirror=False)
+        schedule = assign_jobs_edf(jobs, calendar, mirror=False).schedule
         p0 = schedule.placement_of(0)
         p1 = schedule.placement_of(1)
         assert p0.start == pytest.approx(0.0)
@@ -124,7 +124,7 @@ class TestAlgorithm2:
             num_machines=1,
             calibration_length=T,
         )
-        schedule2 = assign_jobs_edf(jobs2, calendar2, mirror=False)
+        schedule2 = assign_jobs_edf(jobs2, calendar2, mirror=False).schedule
         # Cal 0 takes job 0 (9.5); job 1 no longer fits (10.5 > 10) and goes
         # to the next calibration even though it is tiny.
         assert schedule2.placement_of(1).start == pytest.approx(12.0)
@@ -191,7 +191,7 @@ class TestLemma10:
         calendar = _pipeline_calendar(gen, T)
         processing = {j.job_id: j.processing for j in gen.instance.jobs}
 
-        alg2 = assign_jobs_edf(gen.instance.jobs, calendar).prune_empty_calibrations(processing)
+        alg2 = assign_jobs_edf(gen.instance.jobs, calendar).schedule.prune_empty_calibrations(processing)
         mirrored = mirror_calibrations(calendar)
         fractional = fractional_edf(gen.instance.jobs, mirrored)
         lemma9 = fractional_to_integer(

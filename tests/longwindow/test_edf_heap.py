@@ -83,7 +83,10 @@ def _outcome(assign, jobs, calendar, mirror):
 
 def _assert_same(jobs, calendar, mirror):
     want = _outcome(_rescanning_edf, jobs, calendar, mirror)
-    got = _outcome(assign_jobs_edf, jobs, calendar, mirror)
+    got = _outcome(
+        lambda *args, **kwargs: assign_jobs_edf(*args, **kwargs).schedule,
+        jobs, calendar, mirror,
+    )
     assert got == want
     return got[0]
 
@@ -174,6 +177,6 @@ def test_misfit_stops_the_calibration():
         num_machines=1,
         calibration_length=T,
     )
-    schedule = assign_jobs_edf(jobs, calendar, mirror=False)
+    schedule = assign_jobs_edf(jobs, calendar, mirror=False).schedule
     assert {p.job_id: p.start for p in schedule.placements} == {1: 0.0, 0: 10.0, 2: 16.0}
     assert _assert_same(jobs, calendar, mirror=False) == "ok"

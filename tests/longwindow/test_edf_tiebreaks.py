@@ -29,7 +29,7 @@ class TestTieBreaks:
             Job(9, 0.0, 30.0, 3.0),
         )
         calendar = _calendar((0.0, 0))
-        schedule = assign_jobs_edf(jobs, calendar, mirror=False)
+        schedule = assign_jobs_edf(jobs, calendar, mirror=False).schedule
         starts = {p.job_id: p.start for p in schedule.placements}
         assert starts[2] < starts[5] < starts[9]
 
@@ -40,7 +40,7 @@ class TestTieBreaks:
             Job(1, 0.0, 30.0, 9.0),
         )
         calendar = _calendar((0.0, 0), (0.0, 1), machines=2)
-        schedule = assign_jobs_edf(jobs, calendar, mirror=False)
+        schedule = assign_jobs_edf(jobs, calendar, mirror=False).schedule
         # Job 0 (EDF-first by id at equal deadlines) lands on machine 0.
         assert schedule.placement_of(0).machine == 0
         assert schedule.placement_of(1).machine == 1
@@ -49,8 +49,8 @@ class TestTieBreaks:
         T = 10.0
         jobs = tuple(Job(i, 0.0, 30.0 + i, 2.0 + 0.1 * i) for i in range(6))
         calendar = _calendar((0.0, 0), (10.0, 0))
-        a = assign_jobs_edf(jobs, calendar)
-        b = assign_jobs_edf(jobs, calendar)
+        a = assign_jobs_edf(jobs, calendar).schedule
+        b = assign_jobs_edf(jobs, calendar).schedule
         assert a.placements == b.placements
 
 

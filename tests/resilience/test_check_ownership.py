@@ -75,16 +75,16 @@ def short_instance():
 
 class TestLongPath:
     @pytest.fixture(autouse=True)
-    def bad_long_output(self, monkeypatch):
-        real = long_pipeline.canonicalize
+    def bad_long_output(self, monkeypatch, long_instance):
+        real = long_pipeline.canonical_schedule
 
-        def canonicalize(instance, schedule):
-            result = real(instance, schedule)
+        def canonical_schedule(*args, **kwargs):
+            result = real(*args, **kwargs)
             return dataclasses.replace(
-                result, schedule=_one_job_early(instance, result.schedule)
+                result, schedule=_one_job_early(long_instance, result.schedule)
             )
 
-        monkeypatch.setattr(long_pipeline, "canonicalize", canonicalize)
+        monkeypatch.setattr(long_pipeline, "canonical_schedule", canonical_schedule)
 
     def test_strict_raises(self, long_instance):
         with pytest.raises(InfeasibleScheduleError, match="long-window pipeline"):
