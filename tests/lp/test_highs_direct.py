@@ -3,7 +3,8 @@
 :func:`repro.lp.solve_highs` drives SciPy's bundled HiGHS bindings itself
 instead of calling ``linprog``, replicating its row order, options,
 infinity mapping, input checks, status mapping and post-solve feasibility
-check.  The oracle is ``linprog(method="highs")`` run on the standard arrays
+check.  The oracle is ``linprog(method="highs", options={"presolve":
+False})`` (``solve_highs`` runs HiGHS without presolve) on the standard arrays
 of the reference exporter below (the per-nonzero implementation the
 vectorised :meth:`LinearProgram.to_colwise` replaced), so every comparison
 is against an independent path.  Equality is bit for bit: ``x``, the
@@ -101,6 +102,10 @@ def _reference_standard_arrays(model: LinearProgram | ColwiseLP):
     return c, a_ub, b_ub, a_eq, b_eq, lb, ub
 
 
+# solve_highs runs HiGHS without presolve; the reference call does the same.
+_LINPROG_OPTIONS = {"presolve": False}
+
+
 def _linprog_solution(model: LinearProgram | ColwiseLP, time_limit: float | None = None) -> LPSolution:
     """What ``solve_highs`` returned when it called ``linprog``."""
     c, a_ub, b_ub, a_eq, b_eq, lb, ub = _reference_standard_arrays(model)
@@ -111,7 +116,9 @@ def _linprog_solution(model: LinearProgram | ColwiseLP, time_limit: float | None
     result = linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
         bounds=np.column_stack([lb, ub]), method="highs",
-        options=None if time_limit is None else {"time_limit": float(time_limit)},
+        options=_LINPROG_OPTIONS
+        if time_limit is None
+        else {**_LINPROG_OPTIONS, "time_limit": float(time_limit)},
     )
     if time_limit is not None and result.status == 1:
         raise StageTimeoutError("time limit", stage="lp", backend="highs")
