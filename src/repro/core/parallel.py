@@ -11,7 +11,7 @@ them out over a process pool with a strict contract:
   .SolveBudget` is a context-local, which does not cross process
   boundaries.  Each task therefore ships a
   :meth:`~repro.core.resilience.SolveBudget.subbudget` snapshot (the
-  remaining wall clock + stage timeouts) and re-enters it via
+  remaining wall clock) and re-enters it via
   :func:`~repro.core.resilience.budget_scope` inside the worker, so
   deadlines keep firing inside pooled solves.
 * **Observable fallback.**  Anything that prevents pooled execution — pool
@@ -202,8 +202,8 @@ def parallel_map(
     pool-infrastructure failure, falls back to the serial path with a
     :class:`ParallelFallbackWarning` and a recorded
     :func:`last_fallback_reason`.  The ambient solve budget is propagated
-    into workers (see module docstring), so stage timeouts keep firing
-    inside pooled solves.
+    into workers (see module docstring), so deadlines keep firing inside
+    pooled solves.
     """
     items = list(items)
     if max_workers is None or max_workers <= 1 or len(items) <= 1:

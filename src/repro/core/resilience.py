@@ -10,11 +10,11 @@ greedy baseline.
 
 Three cooperating pieces:
 
-* :class:`SolveBudget` — a wall-clock deadline plus optional per-stage
-  timeouts.  The budget is installed as ambient context for the duration of
-  a solve (:func:`budget_scope`), so deep inner loops — the exact MM
-  branch-and-bound and the backtracking search — can poll it cheaply via
-  :func:`check_budget` without threading a parameter through every call.
+* :class:`SolveBudget` — a wall-clock deadline.  The budget is installed
+  as ambient context for the duration of a solve (:func:`budget_scope`),
+  so deep inner loops — the exact MM branch-and-bound and the
+  backtracking search — can poll it cheaply via :func:`check_budget`
+  without threading a parameter through every call.
   The clock is injectable, which makes timeout behavior deterministic in
   tests (see :class:`repro.testing.faults.FakeClock`).
 
@@ -63,7 +63,6 @@ from .errors import (
 
 __all__ = [
     "SolveBudget",
-    "StageGuard",
     "ResiliencePolicy",
     "FallbackGate",
     "StageAttempt",
@@ -91,19 +90,15 @@ DEFAULT_MM_CHAIN: tuple[str, ...] = ("best_greedy", "greedy_edf")
 
 @dataclass
 class SolveBudget:
-    """A wall-clock budget for one solve, with optional per-stage timeouts.
+    """A wall-clock budget for one solve.
 
     Attributes:
         wall_clock: total seconds the solve may spend, or None (unlimited).
-        stage_timeouts: per-stage seconds, keyed by stage name (``"lp"``,
-            ``"mm"``, ``"long"``, ``"short"``); stages absent from the map
-            are limited only by the global deadline.
         clock: monotonic time source; injectable for deterministic tests.
         started_at: set by :meth:`start`; None until the solve begins.
     """
 
     wall_clock: float | None = None
-    stage_timeouts: Mapping[str, float] = field(default_factory=dict)
     clock: Callable[[], float] = time.monotonic
     started_at: float | None = None
 
@@ -118,17 +113,14 @@ class SolveBudget:
         context-local cannot: a sweep's worker process, or a serve request
         that already spent part of its deadline in the admission queue.
         The parent snapshots ``remaining()`` into a fresh budget, ships it
-        on, and the receiver re-enters it via :func:`budget_scope`.  Stage
-        timeouts are copied through; an injected test clock is deliberately
-        *not* (a fake clock's ticks do not cross process boundaries — the
-        snapshot freezes its verdict instead: an expired parent yields a
-        ``wall_clock=0`` child).
+        on, and the receiver re-enters it via :func:`budget_scope`.  An
+        injected test clock is deliberately *not* copied (a fake clock's
+        ticks do not cross process boundaries — the snapshot freezes its
+        verdict instead: an expired parent yields a ``wall_clock=0`` child).
         """
         remaining = self.remaining()
         wall = None if math.isinf(remaining) else max(0.0, remaining)
-        return SolveBudget(
-            wall_clock=wall, stage_timeouts=dict(self.stage_timeouts)
-        )
+        return SolveBudget(wall_clock=wall)
 
     def start(self) -> "SolveBudget":
         """Begin the countdown (idempotent); returns self for chaining."""
@@ -158,53 +150,6 @@ class SolveBudget:
                 f"solve budget of {self.wall_clock:g}s exhausted",
                 stage=stage,
                 backend=backend,
-                elapsed=self.elapsed(),
-            )
-
-    def stage_limit(self, stage: str) -> float:
-        """Seconds available to ``stage`` right now (stage cap ∧ global)."""
-        limit = self.remaining()
-        stage_cap = self.stage_timeouts.get(stage)
-        if stage_cap is not None:
-            limit = min(limit, stage_cap)
-        return limit
-
-    def guard(self, stage: str, backend: str | None = None) -> "StageGuard":
-        """A per-stage guard enforcing both stage and global limits."""
-        self.start()
-        return StageGuard(budget=self, stage=stage, backend=backend)
-
-
-@dataclass
-class StageGuard:
-    """Tracks one stage's elapsed time against its (and the global) limit."""
-
-    budget: SolveBudget
-    stage: str
-    backend: str | None = None
-    stage_started: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        self.stage_started = self.budget.clock()
-
-    def elapsed(self) -> float:
-        return max(0.0, self.budget.clock() - self.stage_started)
-
-    def remaining(self) -> float:
-        """Seconds left for this stage (min of stage cap and global)."""
-        limit = self.budget.remaining()
-        cap = self.budget.stage_timeouts.get(self.stage)
-        if cap is not None:
-            limit = min(limit, cap - self.elapsed())
-        return limit
-
-    def ensure(self) -> None:
-        """Raise :class:`StageTimeoutError` when the stage is out of time."""
-        if self.remaining() <= 0.0:
-            raise StageTimeoutError(
-                f"stage {self.stage!r} exceeded its time budget",
-                stage=self.stage,
-                backend=self.backend,
                 elapsed=self.elapsed(),
             )
 
@@ -286,9 +231,6 @@ class ResiliencePolicy:
         budget: wall-clock budget template (copied fresh per solve).
         mm_chain: MM algorithm fallback order; None uses
             :data:`DEFAULT_MM_CHAIN`.
-        pipeline_fallback: allow whole-pipeline degradation (long side to
-            the lazy TISE greedy, short side to one-calibration-per-job)
-            when a pipeline fails outright in non-strict mode.
         gate: optional :class:`FallbackGate` consulted per candidate (the
             solve service plugs in its circuit-breaker board, which its
             worker threads share under the board's lock).
@@ -297,7 +239,6 @@ class ResiliencePolicy:
     strict: bool = True
     budget: SolveBudget | None = None
     mm_chain: tuple[str, ...] | None = None
-    pipeline_fallback: bool = True
     gate: FallbackGate | None = None
 
     def mm_candidates(self, primary: str) -> tuple[str, ...]:

@@ -374,7 +374,7 @@ class ISESolver:
 
         split = partition_jobs(instance, factor=cfg.window_factor)
 
-        degrade_ok = not policy.strict and policy.pipeline_fallback
+        degrade_ok = not policy.strict
 
         def absorb(
             half: _Half, solve: Callable[[Instance], _HalfT], half_instance: Instance

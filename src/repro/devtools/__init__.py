@@ -2,10 +2,10 @@
 
 The paper's guarantees (Theorems 12/14/20) survive only while the code
 preserves fragile conventions — tolerance-aware float comparisons, injectable
-clocks and seeded RNGs, validated solver boundaries, typed errors instead of
-stripped-in-production asserts.  :mod:`repro.devtools.lint` turns those
-conventions into mechanically-enforced rules (codes ``ISE001``–``ISE010``),
-run in CI and as the ``repro-lint`` console script.
+clocks and seeded RNGs, typed errors instead of stripped-in-production
+asserts.  :mod:`repro.devtools.lint` turns those conventions into
+mechanically-enforced rules (codes ``ISE001``–``ISE014``), run in CI and as
+the ``repro-lint`` console script.
 
 * :mod:`repro.devtools.diagnostics` — diagnostic records and the
   ``# repro-lint: disable=CODE`` suppression syntax.

@@ -1,4 +1,4 @@
-"""The project rule set: codes ``ISE001``–``ISE016`` (ISE004, ISE005 and ISE015 retired).
+"""The project rule set: codes ``ISE001``–``ISE014`` (ISE004, ISE005 and ISE007 retired).
 
 Every rule encodes one convention the paper's guarantees or the PR-1
 resilience layer depend on.  Rules are pure functions from a parsed
@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import PurePath
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .diagnostics import Diagnostic, SourceFile
 
@@ -130,31 +130,6 @@ def _path_parts(source: SourceFile) -> tuple[str, ...]:
 def _name_is_toleranceish(name: str) -> bool:
     lowered = name.lower()
     return "eps" in lowered or "tol" in lowered
-
-
-def _class_has_call_to(cls: ast.ClassDef, names: Iterable[str]) -> bool:
-    """True when any call inside ``cls`` targets one of ``names`` (by the
-    final attribute/name segment)."""
-    wanted = set(names)
-    for node in ast.walk(cls):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in wanted:
-            return True
-        if isinstance(func, ast.Name) and func.id in wanted:
-            return True
-    return False
-
-
-def _class_references(cls: ast.ClassDef, names: Iterable[str]) -> bool:
-    wanted = set(names)
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Name) and node.id in wanted:
-            return True
-        if isinstance(node, ast.Attribute) and node.attr in wanted:
-            return True
-    return False
 
 
 def _is_protocol(cls: ast.ClassDef) -> bool:
@@ -415,66 +390,6 @@ def _check_swallowed_limit(source: SourceFile) -> Iterator[Diagnostic]:
                 "LimitExceededError swallowed with no fallback; a budget "
                 "exhaustion must degrade to a cheaper backend or re-raise",
             )
-
-
-# ---------------------------------------------------------------------------
-# ISE007 — solver-boundary hygiene
-# ---------------------------------------------------------------------------
-
-_MM_VALIDATORS = {"check_mm", "validate_mm"}
-_LP_MARKERS = {"LPStatus", "SolverError", "StageTimeoutError", "check_budget"}
-
-
-def _delegates_solve(cls: ast.ClassDef) -> bool:
-    """True when the class calls another backend's ``.solve(...)``."""
-    for node in ast.walk(cls):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "solve"
-            and not (
-                isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-            )
-        ):
-            return True
-    return False
-
-
-@register(
-    "ISE007",
-    "solver-boundary",
-    "registered solver must validate its result (check_mm / LP status) or delegate to one that does",
-)
-def _check_solver_boundary(source: SourceFile) -> Iterator[Diagnostic]:
-    parts = _path_parts(source)
-    for cls in _solver_classes(source):
-        if _class_has_call_to(cls, _MM_VALIDATORS) or _delegates_solve(cls):
-            continue
-        yield source.diagnostic(
-            cls,
-            "ISE007",
-            f"MM backend {cls.name!r} neither calls check_mm()/validate_mm() "
-            "nor delegates to a validating backend; black-box results must "
-            "be re-validated (Theorem 20 discipline)",
-        )
-    if "lp" in parts:
-        for node in ast.walk(source.tree):
-            if (
-                isinstance(node, ast.ClassDef)
-                and not _is_protocol(node)
-                and _method(node, "__call__") is not None
-            ):
-                if _class_references(node, _LP_MARKERS) or _class_has_call_to(
-                    node, {"solve_highs"}
-                ):
-                    continue
-                yield source.diagnostic(
-                    node,
-                    "ISE007",
-                    f"LP backend {node.name!r} must surface solve status "
-                    "(LPStatus) or raise typed SolverError/StageTimeoutError",
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -800,121 +715,3 @@ def _check_direct_sleep(source: SourceFile) -> Iterator[Diagnostic]:
                 "(the sweep's shard-backoff convention) so tests stay fast "
                 "and control time",
             )
-
-
-# ---------------------------------------------------------------------------
-# ISE016 — mutation of committed online-session state
-# ---------------------------------------------------------------------------
-
-def _annotation_types(annotation: ast.expr) -> set[str]:
-    """Type names mentioned anywhere in an annotation expression.
-
-    Handles plain names, dotted names, subscripted generics, unions, and
-    string annotations (parsed and walked the same way).
-    """
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        try:
-            annotation = ast.parse(annotation.value, mode="eval").body
-        except SyntaxError:
-            return set()
-    names: set[str] = set()
-    for node in ast.walk(annotation):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
-
-
-#: The online-session type whose committed state is append-only evidence.
-_SESSION_TYPES = frozenset({"ISESession"})
-
-#: The one module allowed to write session attributes: the file that
-#: defines the type and enforces the never-retract invariant on every
-#: mutation path.
-_SESSION_HOME = ("online", "session.py")
-
-
-def _tracked_session_names(tree: ast.Module) -> set[str]:
-    """Names bound to online sessions, flow-insensitively.
-
-    A name is tracked when it is assigned from ``ISESession(...)`` or one
-    of its factory classmethods (``ISESession.create`` /
-    ``ISESession.open``), or annotated as :class:`ISESession`.
-    """
-    tracked: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            callee = _dotted_name(node.value.func) or ""
-            if _SESSION_TYPES & set(callee.split(".")):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        tracked.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            if _annotation_types(node.annotation) & _SESSION_TYPES:
-                tracked.add(node.target.id)
-        elif isinstance(node, ast.arg) and node.annotation is not None:
-            if _annotation_types(node.annotation) & _SESSION_TYPES:
-                tracked.add(node.arg)
-    return tracked
-
-
-@register(
-    "ISE016",
-    "session-state-mutation",
-    "ISESession attributes written outside repro/online/session.py; "
-    "committed session state is never-retract evidence — use the "
-    "submit_job/advance API",
-)
-def _check_session_mutation(source: SourceFile) -> Iterator[Diagnostic]:
-    """Flag attribute writes to :class:`ISESession` outside its home module.
-
-    The durability story rests on one invariant: every mutation of session
-    state flows through ``submit_job``/``advance``, which journal first,
-    machine-check the never-retract property, and only then install.  An
-    attribute write from anywhere else — serve handlers, tests poking
-    ``session._committed``, benchmarks resetting counters — bypasses the
-    journal, so a crash after it silently forks the durable history from
-    the in-memory one.  Only ``repro/online/session.py`` (which defines
-    the type and owns the invariant checks) may write attributes; both
-    plain assignment and the ``object.__setattr__`` escape hatch are
-    caught everywhere else.
-    """
-    parts = _path_parts(source)
-    if len(parts) >= 2 and (parts[-2], parts[-1]) == _SESSION_HOME:
-        return
-    tracked = _tracked_session_names(source.tree)
-    if not tracked:
-        return
-    for node in ast.walk(source.tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in tracked
-                ):
-                    yield source.diagnostic(
-                        node,
-                        "ISE016",
-                        f"writes session state `{target.value.id}."
-                        f"{target.attr}` outside repro/online/session.py; "
-                        "committed calibrations never retract — go through "
-                        "submit_job/advance so the journal and invariant "
-                        "checks see the mutation",
-                    )
-        elif isinstance(node, ast.Call):
-            if (
-                _dotted_name(node.func) == "object.__setattr__"
-                and node.args
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id in tracked
-            ):
-                yield source.diagnostic(
-                    node,
-                    "ISE016",
-                    f"object.__setattr__ on session `{node.args[0].id}` "
-                    "bypasses the journaled mutation API; go through "
-                    "submit_job/advance",
-                )

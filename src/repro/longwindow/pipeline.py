@@ -240,7 +240,7 @@ class LongWindowSolver:
             def solve_lp() -> TiseLPSolution:
                 limit: float | None = None
                 if budget is not None:
-                    remaining = budget.stage_limit("lp")
+                    remaining = budget.remaining()
                     if remaining != float("inf"):
                         limit = max(remaining, 0.0)
                 return solve_tise_lp(

@@ -25,7 +25,7 @@ from ..core.job import Job
 from ..core.resilience import check_budget
 from ..core.schedule import ScheduledJob
 from ..core.tolerance import EPS, leq
-from .base import MMSchedule, check_mm
+from .base import MMSchedule
 from .greedy import ORDERINGS
 
 __all__ = ["BacktrackGreedyMM"]
@@ -135,9 +135,7 @@ class BacktrackGreedyMM:
                 )
             placements = _try_with_displacement(ordered, w, speed)
             if placements is not None:
-                schedule = MMSchedule(
+                return MMSchedule(
                     placements=tuple(placements), num_machines=w, speed=speed
                 )
-                check_mm(jobs, schedule, context=self.name)
-                return schedule
         raise AssertionError("n machines must always suffice")  # pragma: no cover

@@ -63,6 +63,10 @@ class MMAlgorithm(Protocol):
     Implementations must return a schedule that passes :func:`validate_mm`
     for the given jobs at the given speed, using as few machines as the
     algorithm can manage.  ``name`` identifies the algorithm in reports.
+
+    Implementations do not check their own output.  Theorem 20 treats the
+    algorithm as a black box, so the short-window pipeline runs
+    :func:`check_mm` once on every answer, whichever box produced it.
     """
 
     name: str

@@ -31,7 +31,7 @@ from ..core.job import Job
 from ..core.resilience import check_budget
 from ..core.schedule import ScheduledJob
 from ..core.tolerance import EPS, leq
-from .base import MMSchedule, check_mm
+from .base import MMSchedule
 from .greedy import BestOfGreedyMM
 from .preemptive_bound import preemptive_machine_lower_bound
 
@@ -153,9 +153,7 @@ def feasible_on_machines(
         ScheduledJob(start=s, machine=coloring[jid], job_id=jid)
         for jid, s, _ in chosen
     )
-    schedule = MMSchedule(placements=final, num_machines=w, speed=speed)
-    check_mm(jobs, schedule, context="exact-mm")
-    return schedule
+    return MMSchedule(placements=final, num_machines=w, speed=speed)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from ..core.errors import SolverError
 from ..core.job import Job
 from ..core.schedule import ScheduledJob
 from ..core.tolerance import EPS, leq
-from .base import MMSchedule, check_mm
+from .base import MMSchedule
 
 __all__ = [
     "GreedyMM",
@@ -145,7 +145,6 @@ class GreedyMM:
                 stage="mm",
                 backend=self.name,
             )
-        check_mm(jobs, schedule, context=self.name)
         return schedule
 
 
@@ -179,6 +178,5 @@ class BestOfGreedyMM:
                 jobs, speed, ORDERINGS[ordering], 1, best.num_machines - 1
             )
             if candidate is not None:
-                check_mm(jobs, candidate, context=f"greedy[{ordering}]")
                 best = candidate
         return best

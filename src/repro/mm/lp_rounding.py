@@ -27,7 +27,7 @@ from ..core.job import Job
 from ..core.schedule import ScheduledJob
 from ..core.tolerance import EPS, geq, leq
 from ..lp import BACKENDS, LinearProgram, Sense
-from .base import MMSchedule, check_mm, color_intervals, max_overlap
+from .base import MMSchedule, color_intervals, max_overlap
 
 __all__ = ["LPRoundingMM", "fractional_mm_value", "candidate_starts"]
 
@@ -158,11 +158,7 @@ class LPRoundingMM:
                 ScheduledJob(start=chosen[jid], machine=coloring[jid], job_id=jid)
                 for jid in chosen
             )
-            candidate = MMSchedule(
-                placements=placements, num_machines=w, speed=speed
-            )
-            check_mm(jobs, candidate, context=self.name)
-            best = candidate
+            best = MMSchedule(placements=placements, num_machines=w, speed=speed)
         if best is None:
             raise SolverError(
                 "LP rounding produced no candidate schedule across "

@@ -160,11 +160,11 @@ class ISESession:
             raise SessionConflictError(
                 f"commit horizon must be >= 0, got {commit_horizon}"
             )
-        self.session_id = session_id
-        self.machines = machines
-        self.calibration_length = calibration_length
-        self.commit_horizon = commit_horizon
-        self.config = config
+        self._session_id = session_id
+        self._machines = machines
+        self._calibration_length = calibration_length
+        self._commit_horizon = commit_horizon
+        self._config = config
         self._journal = journal
         self._replaying = False
         self._now = 0.0
@@ -321,7 +321,7 @@ class ISESession:
                 retracted.append(key)
         if retracted:
             raise CommitRetractionError(
-                f"recovery of session {self.session_id!r} lost "
+                f"recovery of session {self._session_id!r} lost "
                 f"{len(retracted)} journaled commit(s) — the replay "
                 "re-derived a state that retracts durable calibrations",
                 retracted=tuple(sorted(retracted)),
@@ -346,6 +346,29 @@ class ISESession:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    # The session's identity and solver settings are fixed at construction
+    # and pinned in the journal header, so they are read-only: a write
+    # would fork the live session from what replay re-derives.
+    @property
+    def session_id(self) -> str:
+        return self._session_id
+
+    @property
+    def machines(self) -> int:
+        return self._machines
+
+    @property
+    def calibration_length(self) -> float:
+        return self._calibration_length
+
+    @property
+    def commit_horizon(self) -> float:
+        return self._commit_horizon
+
+    @property
+    def config(self) -> ISEConfig:
+        return self._config
+
     @property
     def now(self) -> float:
         """The session clock (largest advance / arrival time seen)."""
@@ -400,7 +423,7 @@ class ISESession:
         placements = [p for group in self._committed.values() for p in group]
         placements += list(self._tentative.placements)
         machines = max(
-            [self.machines]
+            [self._machines]
             + [c.machine + 1 for c in cals]
             + [p.machine + 1 for p in placements]
         )
@@ -408,7 +431,7 @@ class ISESession:
             calibrations=CalibrationSchedule(
                 calibrations=tuple(sorted(cals)),
                 num_machines=machines,
-                calibration_length=self.calibration_length,
+                calibration_length=self._calibration_length,
             ),
             placements=tuple(placements),
         )
@@ -420,10 +443,10 @@ class ISESession:
         deliberately excluded because a recovery legitimately bumps it.
         """
         payload: dict[str, Any] = {
-            "session": self.session_id,
-            "machines": self.machines,
-            "calibration_length": self.calibration_length,
-            "commit_horizon": self.commit_horizon,
+            "session": self._session_id,
+            "machines": self._machines,
+            "calibration_length": self._calibration_length,
+            "commit_horizon": self._commit_horizon,
             "now": self._now,
             "jobs": [
                 [job_id, job.release, job.deadline, job.processing, at]
@@ -500,10 +523,10 @@ class ISESession:
                 f"job {job.job_id} has non-positive processing "
                 f"{job.processing}"
             )
-        if not leq(job.processing, self.calibration_length):
+        if not leq(job.processing, self._calibration_length):
             raise InvalidInstanceError(
                 f"job {job.job_id} has processing {job.processing} > "
-                f"calibration length {self.calibration_length}"
+                f"calibration length {self._calibration_length}"
             )
         effective = max(job.release, at)
         if not leq(effective + job.processing, job.deadline):
@@ -609,7 +632,7 @@ class ISESession:
     def _require_open(self) -> None:
         if self._closed:
             raise SessionConflictError(
-                f"session {self.session_id!r} is closed"
+                f"session {self._session_id!r} is closed"
             )
 
     def _commit_due(
@@ -627,7 +650,7 @@ class ISESession:
         instant of its own start — which is what makes a session fed all
         jobs at t=0 reproduce the offline solve exactly.
         """
-        horizon = now + self.commit_horizon
+        horizon = now + self._commit_horizon
         due = [c for c in tentative.calibrations if lt(c.start, horizon)]
         if not due:
             return tentative, []
@@ -660,7 +683,7 @@ class ISESession:
             calibrations=CalibrationSchedule(
                 calibrations=remaining_cals,
                 num_machines=tentative.num_machines,
-                calibration_length=self.calibration_length,
+                calibration_length=self._calibration_length,
             ),
             placements=tuple(remaining_placements),
         )
@@ -678,7 +701,7 @@ class ISESession:
         extra calibrations and no re-solve; the placement locks
         immediately.  Returns None when no committed gap fits.
         """
-        T = self.calibration_length
+        T = self._calibration_length
         for key in sorted(committed):
             start, machine = key
             lo = max(job.release, now, start)
@@ -727,14 +750,14 @@ class ISESession:
         )
         base = max((machine + 1 for _, machine in committed), default=0)
         if not clamped:
-            return empty_schedule(self.calibration_length)
+            return empty_schedule(self._calibration_length)
         instance = Instance(
             jobs=clamped,
-            machines=self.machines,
-            calibration_length=self.calibration_length,
-            name=f"session:{self.session_id}@{now}",
+            machines=self._machines,
+            calibration_length=self._calibration_length,
+            name=f"session:{self._session_id}@{now}",
         )
-        result = solve_ise(instance, self.config)
+        result = solve_ise(instance, self._config)
         return _offset_schedule(result.schedule.compact_machines(), base)
 
     def _check_never_retract(
@@ -764,14 +787,14 @@ class ISESession:
                 retracted.append(key)
         if retracted:
             raise CommitRetractionError(
-                f"mutation of session {self.session_id!r} would retract "
+                f"mutation of session {self._session_id!r} would retract "
                 f"{len(retracted)} committed calibration(s); the committed "
                 "pool is append-only",
                 retracted=tuple(sorted(retracted)),
             )
         if not self._locked <= locked:
             raise CommitRetractionError(
-                f"mutation of session {self.session_id!r} would unlock "
+                f"mutation of session {self._session_id!r} would unlock "
                 f"jobs {sorted(self._locked - locked)}; locked placements "
                 "are immutable",
                 retracted=(),

@@ -444,7 +444,6 @@ class SolveService:
             # subbudget(): queue wait already spent part of the deadline.
             budget=request.budget.subbudget(),
             mm_chain=(self.config.shed_mm,) if shed else base_policy.mm_chain,
-            pipeline_fallback=base_policy.pipeline_fallback,
             gate=self.breakers,
         )
         return dataclasses.replace(

@@ -83,7 +83,7 @@ def _solve_bucket_mm(
             algorithm = get_mm_algorithm(spec)
             cap: float | None = None
             if budget is not None:
-                remaining = budget.stage_limit("mm")
+                remaining = budget.remaining()
                 if remaining != float("inf"):
                     cap = max(remaining, 0.0)
             return _with_time_cap(algorithm, cap).solve(jobs, speed=speed)
@@ -225,12 +225,13 @@ class ShortWindowSolver:
     def solve(self, instance: Instance) -> ShortWindowResult:
         """Partition, per-interval MM + lift, merge; returns schedule + telemetry.
 
-        With a non-strict :class:`ResiliencePolicy` configured, each
-        interval's MM solve runs through the fallback chain (default:
-        configured algorithm ``-> best_greedy -> greedy_edf``) with the
-        output independently re-validated via :func:`check_mm` — Theorem 20
-        is black-box in the MM algorithm, so swapping a failed box only
-        moves the approximation factor, never feasibility.
+        Each interval's MM answer is checked here, once, by :func:`check_mm`
+        in the fallback chain; the MM boxes do not check their own output.
+        With a non-strict :class:`ResiliencePolicy` configured, an answer
+        that fails the check moves the chain on (default: configured
+        algorithm ``-> best_greedy -> greedy_edf``) — Theorem 20 is
+        black-box in the MM algorithm, so swapping a failed box only moves
+        the approximation factor, never feasibility.
         """
         cfg = self.config
         policy = cfg.resilience or ResiliencePolicy()

@@ -167,7 +167,7 @@ class FaultyMM:
     The ``"garbage"`` fault places every job *before its release* on one
     machine — structurally a valid :class:`MMSchedule`, semantically
     infeasible, so the short-window pipeline's :func:`~repro.mm.base.check_mm`
-    re-validation must reject it.
+    must reject it.
     """
 
     inner: MMAlgorithm

@@ -14,8 +14,8 @@ import pytest
 
 from repro.devtools import lint_paths
 
-# Solver-boundary rules (ISE007/ISE008) only look at files under an ``mm``
-# or ``lp`` package, so some fixtures need to live at a specific path.
+# The registry-hygiene rule (ISE008) only looks at files under an ``mm``
+# package, so its fixtures need to live at a specific path.
 MM_PATH = Path("mm") / "backend.py"
 PLAIN_PATH = Path("module.py")
 
@@ -118,83 +118,33 @@ CASES = [
         ),
     ),
     RuleCase(
-        code="ISE007",
-        rel_path=MM_PATH,
-        hit=(
-            "class SloppyMM:\n"
-            '    """A backend that never validates its coloring."""\n'
-            "\n"
-            '    name = "sloppy"\n'
-            "\n"
-            "    def solve(self, instance, w):\n"
-            '        """Return an unchecked result."""\n'
-            "        return None\n"
-        ),
-        suppressed=(
-            "class SloppyMM:  # repro-lint: disable=ISE007\n"
-            '    """A backend that never validates its coloring."""\n'
-            "\n"
-            '    name = "sloppy"\n'
-            "\n"
-            "    def solve(self, instance, w):\n"
-            '        """Return an unchecked result."""\n'
-            "        return None\n"
-        ),
-        clean=(
-            "from repro.mm.verify import check_mm\n"
-            "\n"
-            "class CarefulMM:\n"
-            '    """A backend that validates every coloring it emits."""\n'
-            "\n"
-            '    name = "careful"\n'
-            "\n"
-            "    def solve(self, instance, w):\n"
-            '        """Return a validated result."""\n'
-            "        result = None\n"
-            "        check_mm(instance, result, w)\n"
-            "        return result\n"
-        ),
-    ),
-    RuleCase(
         code="ISE008",
         rel_path=MM_PATH,
         hit=(
-            "from repro.mm.verify import check_mm\n"
-            "\n"
             "class UndocumentedMM:\n"
             '    name = "undocumented"\n'
             "\n"
             "    def solve(self, instance, w):\n"
-            '        """Return a validated result."""\n'
-            "        result = None\n"
-            "        check_mm(instance, result, w)\n"
-            "        return result\n"
+            '        """Return a schedule."""\n'
+            "        return None\n"
         ),
         suppressed=(
-            "from repro.mm.verify import check_mm\n"
-            "\n"
             "class UndocumentedMM:  # repro-lint: disable=ISE008\n"
             '    name = "undocumented"\n'
             "\n"
             "    def solve(self, instance, w):\n"
-            '        """Return a validated result."""\n'
-            "        result = None\n"
-            "        check_mm(instance, result, w)\n"
-            "        return result\n"
+            '        """Return a schedule."""\n'
+            "        return None\n"
         ),
         clean=(
-            "from repro.mm.verify import check_mm\n"
-            "\n"
             "class DocumentedMM:\n"
             '    """A fully documented backend."""\n'
             "\n"
             '    name = "documented"\n'
             "\n"
             "    def solve(self, instance, w):\n"
-            '        """Return a validated result."""\n'
-            "        result = None\n"
-            "        check_mm(instance, result, w)\n"
-            "        return result\n"
+            '        """Return a schedule."""\n'
+            "        return None\n"
         ),
     ),
     RuleCase(
@@ -333,27 +283,6 @@ CASES = [
             "    sleep(seconds)\n"
         ),
     ),
-    RuleCase(
-        code="ISE016",
-        hit=(
-            "from repro.online import ISESession\n"
-            "\n"
-            "def tamper(session: ISESession) -> None:\n"
-            "    session._now = 0.0\n"
-        ),
-        suppressed=(
-            "from repro.online import ISESession\n"
-            "\n"
-            "def tamper(session: ISESession) -> None:\n"
-            "    session._now = 0.0  # repro-lint: disable=ISE016\n"
-        ),
-        clean=(
-            "from repro.online import ISESession\n"
-            "\n"
-            "def rewind_is_forbidden(session: ISESession, to: float) -> None:\n"
-            "    session.advance(to)\n"
-        ),
-    ),
 ]
 
 CASE_IDS = [case.code for case in CASES]
@@ -411,36 +340,6 @@ def test_ise012_exempts_the_atomicio_module(tmp_path: Path) -> None:
         "    path.write_text(text)\n"
     )
     assert lint_paths([target], select=["ISE012"]).ok
-
-
-def test_ise016_exempts_the_session_module(tmp_path: Path) -> None:
-    # online/session.py defines ISESession and owns the never-retract
-    # invariant checks — it is the one place allowed to write attributes.
-    target = tmp_path / "online" / "session.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(
-        "class ISESession:\n"
-        "    def _install(self, now: float) -> None:\n"
-        "        self._now = now\n"
-        "\n"
-        "def helper(session: ISESession, now: float) -> None:\n"
-        "    session._now = now\n"
-    )
-    assert lint_paths([target], select=["ISE016"]).ok
-
-
-def test_ise016_catches_factory_bound_names(tmp_path: Path) -> None:
-    target = tmp_path / "module.py"
-    target.write_text(
-        "from repro.online import ISESession\n"
-        "\n"
-        "def poke(tmp: str) -> None:\n"
-        "    session = ISESession.open(tmp, 'demo')\n"
-        "    object.__setattr__(session, '_fence', 0)\n"
-    )
-    report = lint_paths([target], select=["ISE016"])
-    assert not report.ok
-    assert all(d.code == "ISE016" for d in report.diagnostics)
 
 
 def test_ise013_reraise_counts_as_recorded(tmp_path: Path) -> None:

@@ -219,6 +219,31 @@ def test_reopen_reproduces_digest_and_bumps_fence(tmp_path: Path) -> None:
     assert receipt.replayed
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["session_id", "machines", "calibration_length", "commit_horizon", "config"],
+)
+def test_fixed_fields_are_read_only_and_rehydrate(tmp_path: Path, field: str) -> None:
+    # The journal header pins these, so a write would fork the live session
+    # from what replay re-derives; the type refuses it instead.
+    session = ISESession.create(
+        tmp_path, "ro", machines=2, calibration_length=6.0, commit_horizon=1.0
+    )
+    session.submit_job(1, release=0.0, deadline=12.0, processing=4.0)
+    session.advance(3.0)
+    value = getattr(session, field)
+    with pytest.raises(AttributeError):
+        setattr(session, field, value)
+    with pytest.raises(AttributeError):
+        object.__setattr__(session, field, value)
+    digest = session.state_digest()
+    session.close()
+
+    recovered = ISESession.open(tmp_path, "ro")
+    assert recovered.state_digest() == digest
+    assert getattr(recovered, field) == value
+
+
 def test_os_sync_policy_survives_process_style_reopen(tmp_path: Path) -> None:
     # sync="os" skips the per-mutation fdatasync but still flushes every
     # batch to the kernel, so anything short of a machine crash (including

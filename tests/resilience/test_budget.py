@@ -66,31 +66,6 @@ class TestSolveBudget:
         # The original is unaffected.
         assert budget.remaining() == pytest.approx(1.0)
 
-    def test_stage_limit_is_min_of_stage_cap_and_global(self):
-        clock = FakeClock()
-        budget = SolveBudget(
-            wall_clock=10.0, stage_timeouts={"lp": 2.0}, clock=clock
-        ).start()
-        assert budget.stage_limit("lp") == pytest.approx(2.0)
-        assert budget.stage_limit("mm") == pytest.approx(10.0)
-        clock.advance(9.0)
-        # 1s left globally < the 2s lp cap.
-        assert budget.stage_limit("lp") == pytest.approx(1.0)
-
-    def test_stage_guard_enforces_stage_cap(self):
-        clock = FakeClock()
-        budget = SolveBudget(
-            wall_clock=100.0, stage_timeouts={"mm": 3.0}, clock=clock
-        )
-        guard = budget.guard("mm", backend="exact")
-        clock.advance(2.0)
-        guard.ensure()  # within the stage cap
-        clock.advance(2.0)
-        with pytest.raises(StageTimeoutError) as exc_info:
-            guard.ensure()
-        assert exc_info.value.stage == "mm"
-        assert exc_info.value.backend == "exact"
-
 
 class TestBudgetScope:
     def test_no_ambient_budget_by_default(self):
