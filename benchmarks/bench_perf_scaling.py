@@ -152,7 +152,7 @@ def bench_perf_scaling_short(benchmark, report, perf_json):
         title="PERF (short side): per-stage wall time vs n",
         columns=[
             "n", "partition ms", "mm ms", "lift ms", "lower bound ms",
-            "validate ms", "intervals",
+            "assemble ms", "validate ms", "intervals",
         ],
     )
     rows = []
@@ -173,6 +173,7 @@ def bench_perf_scaling_short(benchmark, report, perf_json):
             wt["mm"] * 1e3,
             wt["lift"] * 1e3,
             wt["lower_bound"] * 1e3,
+            wt["assemble"] * 1e3,
             wt.get("validate", 0.0) * 1e3,
             len(result.intervals),
         )

@@ -18,6 +18,10 @@ against ``benchmarks/results/perf_baseline.json``:
   flagged ``under_provisioned`` (host has fewer cores than the pool has
   workers) skips the speedup check: there the number measures pool
   overhead, not parallelism.
+* ``certify_overhead`` — verified mode's mean overhead must stay under
+  ``certify.max_overhead_pct``.  A missing section is skipped; a section
+  recorded on another host, or with no ``host`` block, is refused as
+  stale, as for ``sweep_parallel``.
 
 Sizes the current run did not measure (e.g. under ``PERF_SMOKE=1``) are
 skipped.
@@ -77,6 +81,15 @@ def this_host() -> dict:
     return host_fingerprint()
 
 
+def _stale(name, section, failures) -> bool:
+    """Refuse a section measured on another host, or on no named host."""
+    if section.get("host") == this_host():
+        return False
+    print(f"{name}: recorded on another host ({section.get('host')}) [STALE]")
+    failures.append((name, "all", "host", section.get("host"), "this host"))
+    return True
+
+
 def check_parallel(sections, baseline, failures) -> None:
     """The sweep pool's speedup, measured on this host."""
     gate = baseline.get("parallel")
@@ -89,9 +102,7 @@ def check_parallel(sections, baseline, failures) -> None:
         print(f"{name}: section missing from BENCH_perf.json [MISSING]")
         failures.append((name, "all", "section", None, "present"))
         return
-    if section.get("host") != this_host():
-        print(f"{name}: recorded on another host ({section.get('host')}) [STALE]")
-        failures.append((name, "all", "host", section.get("host"), "this host"))
+    if _stale(name, section, failures):
         return
     if section.get("under_provisioned"):
         print(f"{name}: host under-provisioned "
@@ -115,6 +126,8 @@ def check_certify_overhead(sections, baseline, failures) -> None:
     if section is None:
         print("certify_overhead: section missing from BENCH_perf.json, "
               "skipped (run benchmarks/bench_certify_overhead.py to measure it)")
+        return
+    if _stale("certify_overhead", section, failures):
         return
     measured = float(section["mean_overhead_pct"])
     ceiling = float(gate["max_overhead_pct"])

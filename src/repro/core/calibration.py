@@ -118,6 +118,31 @@ class CalibrationSchedule:
         """Calibrations on one machine, in time order."""
         return self._by_machine.get(machine, ())
 
+    @cached_property
+    def _lookup_tables(self) -> dict[float, dict[int, tuple[list[float], list[float]]]]:
+        return {}
+
+    def lookup_table(
+        self, machine: int, eps: float = EPS
+    ) -> tuple[list[float], list[float]]:
+        """``(starts, bounds)`` of one machine's calibrations, in time order.
+
+        ``bounds[i]`` is ``(starts[i] + T) + eps``, the largest end an
+        execution may have and still pass ``covers``'s end test, so a
+        bisection over ``bounds`` is that test.  Built for every machine on
+        the first lookup at ``eps``.
+        """
+        tables = self._lookup_tables
+        table = tables.get(eps)
+        if table is None:
+            T = self.calibration_length
+            table = {}
+            for m, cals in self._by_machine.items():
+                starts = [c.start for c in cals]
+                table[m] = (starts, [(s + T) + eps for s in starts])
+            tables[eps] = table
+        return table.get(machine, ([], []))
+
     def overlap_violations(self, eps: float = EPS) -> list[tuple[Calibration, Calibration]]:
         """Pairs of same-machine calibrations whose intervals overlap.
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .calibration import CalibrationSchedule
 from .errors import InfeasibleScheduleError
 from .job import Instance, Job
-from .schedule import Schedule, ScheduledJob
+from .schedule import Schedule, ScheduledJob, placement_order
 from .tolerance import EPS, geq, gt, leq
 
 __all__ = [
@@ -146,7 +146,7 @@ def _machine_overlap_violations(
         if placement.job_id in job_map:
             by_machine.setdefault(placement.machine, []).append(placement)
     for machine, plist in by_machine.items():
-        plist.sort()
+        plist.sort(key=placement_order)
         for prev, cur in zip(plist, plist[1:]):
             prev_end = prev.end(job_map[prev.job_id].processing, speed)
             if gt(prev_end, cur.start, eps):

@@ -119,7 +119,7 @@ def validate_mm(
         if placement.job_id in job_map:
             by_machine.setdefault(placement.machine, []).append(placement)
     for machine, plist in by_machine.items():
-        plist.sort()
+        plist.sort(key=placement_order)
         for prev, cur in zip(plist, plist[1:]):
             prev_end = prev.end(job_map[prev.job_id].processing, schedule.speed)
             if gt(prev_end, cur.start, eps):

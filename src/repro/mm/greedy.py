@@ -17,6 +17,8 @@ box with abstract ratio ``alpha``.  The benches measure the empirical
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from ..core.errors import SolverError
@@ -31,6 +33,10 @@ __all__ = [
     "ORDERINGS",
     "try_schedule_on_w_machines",
 ]
+
+
+_INF = float("inf")
+_release = attrgetter("release")
 
 
 def _by_deadline(job: Job) -> tuple[float, float, int]:
@@ -57,6 +63,33 @@ ORDERINGS: dict[str, Callable[[Job], tuple[float, float, int]]] = {
 }
 
 
+def _list_schedule(
+    ordered: Sequence[Job], w: int, speed: float, earliest: float
+) -> list[tuple[float, int, int]] | None:
+    """``(start, machine, job_id)`` of each job of ``ordered`` list-scheduled
+    on ``w`` machines, or None if one would miss its deadline.
+
+    Machines are free from ``earliest`` on, the earliest release, so that
+    ``max(r_j, machine_free)`` is correct even for negative release times.
+    """
+    free = [earliest] * w
+    placements: list[tuple[float, int, int]] = []
+    for job in ordered:
+        best_machine = -1
+        best_start = _INF
+        for machine in range(w):
+            start = max(job.release, free[machine])
+            if start < best_start - EPS:
+                best_start = start
+                best_machine = machine
+        end = best_start + job.processing / speed
+        if not leq(end, job.deadline):
+            return None
+        placements.append((best_start, best_machine, job.job_id))
+        free[best_machine] = end
+    return placements
+
+
 def try_schedule_on_w_machines(
     jobs: Sequence[Job],
     w: int,
@@ -71,31 +104,7 @@ def try_schedule_on_w_machines(
     """
     if w <= 0:
         return None if jobs else MMSchedule(placements=(), num_machines=0, speed=speed)
-    free = [0.0] * w
-    # Initialize machine availability before the earliest release so that
-    # max(r_j, free) is correct even for negative release times.
-    if jobs:
-        earliest = min(j.release for j in jobs)
-        free = [earliest] * w
-    placements: list[ScheduledJob] = []
-    for job in sorted(jobs, key=key):
-        best_machine = -1
-        best_start = float("inf")
-        for machine in range(w):
-            start = max(job.release, free[machine])
-            if start < best_start - EPS:
-                best_start = start
-                best_machine = machine
-        duration = job.processing / speed
-        if not leq(best_start + duration, job.deadline):
-            return None
-        placements.append(
-            ScheduledJob(start=best_start, machine=best_machine, job_id=job.job_id)
-        )
-        free[best_machine] = best_start + duration
-    return MMSchedule(
-        placements=tuple(placements), num_machines=w, speed=speed
-    )
+    return _first_success(jobs, speed, key, w, w)
 
 
 def _first_success(
@@ -105,11 +114,23 @@ def _first_success(
     start_w: int,
     stop_w: int,
 ) -> MMSchedule | None:
-    """The first ``w`` in ``[start_w, stop_w]`` where list scheduling succeeds."""
+    """The first ``w`` in ``[start_w, stop_w]`` where list scheduling succeeds.
+
+    The jobs are sorted once for every ``w``; only the successful ``w``'s
+    placements become :class:`ScheduledJob` objects.
+    """
+    if start_w > stop_w:
+        return None
+    ordered = sorted(jobs, key=key)
+    earliest = min(map(_release, jobs), default=0.0)
     for w in range(start_w, stop_w + 1):
-        schedule = try_schedule_on_w_machines(jobs, w, speed, key)
-        if schedule is not None:
-            return schedule
+        placements = _list_schedule(ordered, w, speed, earliest)
+        if placements is not None:
+            return MMSchedule(
+                placements=tuple(starmap(ScheduledJob, placements)),
+                num_machines=w,
+                speed=speed,
+            )
     return None
 
 

@@ -35,13 +35,19 @@ from ..core.resilience import (
     current_budget,
     run_with_fallbacks,
 )
-from ..core.schedule import Schedule, schedule_from_keys
+from ..core.schedule import (
+    CalibrationKey,
+    PlacementKey,
+    Schedule,
+    prune_calibration_keys,
+    schedule_from_keys,
+)
 from ..core.validate import check_ise
 from ..mm.base import MMAlgorithm, MMSchedule, check_mm
 from ..mm.preemptive_bound import preemptive_machine_lower_bound
 from ..mm.registry import get_mm_algorithm, resolve_mm_chain
 from .intervals import partition_short_jobs
-from .transform import CalibrationKey, PlacementKey, interval_mm_to_ise
+from .transform import interval_mm_to_ise
 
 __all__ = ["ShortWindowConfig", "IntervalReport", "ShortWindowResult", "ShortWindowSolver"]
 
@@ -68,14 +74,13 @@ def _solve_bucket_mm(
     speed: float,
     chain: list[tuple[str, "str | MMAlgorithm"]],
     gate: FallbackGate | None,
-) -> tuple[MMSchedule, ResilienceReport]:
-    """Run one bucket's MM fallback chain; returns (schedule, report).
+    report: ResilienceReport,
+) -> MMSchedule:
+    """Run one bucket's MM fallback chain, recording its attempts in ``report``.
 
-    Each bucket gets its own :class:`ResilienceReport`, which the caller
-    merges in bucket order.  Called by its module-level name once per
-    bucket, so a tracer can wrap the whole per-bucket MM solve.
+    Called by its module-level name once per bucket, in bucket order, so a
+    tracer can wrap the whole per-bucket MM solve.
     """
-    report = ResilienceReport()
     budget = current_budget()
 
     def mm_thunk(spec: "str | MMAlgorithm") -> Callable[[], MMSchedule]:
@@ -90,7 +95,7 @@ def _solve_bucket_mm(
 
         return run
 
-    schedule = run_with_fallbacks(
+    return run_with_fallbacks(
         "mm",
         [(name, mm_thunk(spec)) for name, spec in chain],
         report=report,
@@ -98,36 +103,37 @@ def _solve_bucket_mm(
         validate=lambda s: check_mm(jobs, s, context="short-window MM output"),
         gate=gate,
     )
-    return schedule, report
 
 
 def _pooled_schedule(
     instance: Instance,
-    pools: list[int],
     calibrations: list[list[CalibrationKey]],
     placements: list[list[PlacementKey]],
     speed: float,
     prune_empty: bool,
 ) -> Schedule:
-    """Both passes' lifts as one Schedule, pass 1's machines after pass 0's pool.
+    """Both passes' lifts as one Schedule, pass 1's machines after pass 0's.
 
-    With ``prune_empty`` the calibrations holding no job are dropped.
-    Machines are then numbered densely, so the solver's union needs no
-    second renumbering.
+    With ``prune_empty`` the calibrations holding no job are dropped.  Each
+    pass's machines still in use are then numbered densely, in their old
+    order, and the Schedule is built once from the final keys.  The passes
+    use disjoint pools, so each is pruned on its own.
     """
-    offset = pools[0]
-    pooled = schedule_from_keys(
-        calibrations[0] + [(s, m + offset) for s, m in calibrations[1]],
-        placements[0] + [(s, m + offset, j) for s, m, j in placements[1]],
-        num_machines=sum(pools),
-        calibration_length=instance.calibration_length,
-        speed=speed,
-    )
-    if prune_empty:
-        pooled = pooled.prune_empty_calibrations(
-            {j.job_id: j.processing for j in instance.jobs}
-        )
-    return pooled.compact_machines()
+    processing = {j.job_id: j.processing for j in instance.jobs}
+    T = instance.calibration_length
+    kept_calibrations: list[CalibrationKey] = []
+    kept_placements: list[PlacementKey] = []
+    offset = 0
+    for cals, places in zip(calibrations, placements):
+        if prune_empty:
+            cals = prune_calibration_keys(cals, places, processing, T, speed)
+        used = {m for _, m in cals}
+        used.update(m for _, m, _ in places)
+        dense = {m: k for k, m in enumerate(sorted(used), offset)}
+        kept_calibrations += [(s, dense[m]) for s, m in cals]
+        kept_placements += [(s, dense[m], j) for s, m, j in places]
+        offset += len(dense)
+    return schedule_from_keys(kept_calibrations, kept_placements, offset, T, speed)
 
 
 @dataclass(frozen=True)
@@ -251,9 +257,8 @@ class ShortWindowSolver:
         times["partition"] = time.perf_counter() - tic
 
         reports: list[IntervalReport] = []
-        # Per pass: the pool size and the flat calibrations and placements
-        # of its intervals, pooled below into one Schedule.
-        pools = [0, 0]
+        # Per pass: the flat calibrations and placements of its intervals,
+        # pooled below into one Schedule.
         pass_calibrations: list[list[CalibrationKey]] = [[], []]
         pass_placements: list[list[PlacementKey]] = [[], []]
         lift_time = bound_time = 0.0
@@ -263,11 +268,11 @@ class ShortWindowSolver:
             tic = time.perf_counter()
             mm_schedules: list[MMSchedule] = []
             for bucket in partition.buckets:
-                mm_schedule, bucket_report = _solve_bucket_mm(
-                    bucket.jobs, cfg.speed, chain, policy.gate
+                mm_schedules.append(
+                    _solve_bucket_mm(
+                        bucket.jobs, cfg.speed, chain, policy.gate, report
+                    )
                 )
-                report.merge(bucket_report)
-                mm_schedules.append(mm_schedule)
             times["mm"] = time.perf_counter() - tic
 
         for bucket, mm_schedule in zip(partition.buckets, mm_schedules):
@@ -305,7 +310,6 @@ class ShortWindowSolver:
             # the pass pool directly (calibrations are nested in disjoint
             # intervals, so same-index reuse cannot clash).
             k = bucket.pass_index
-            pools[k] = max(pools[k], lifted.num_machines)
             pass_calibrations[k].extend(lifted.calibrations)
             pass_placements[k].extend(lifted.placements)
         times["lift"] = lift_time
@@ -313,14 +317,15 @@ class ShortWindowSolver:
         # whose MM answer exceeds one machine.
         times["lower_bound"] = bound_time
 
+        tic = time.perf_counter()
         merged = _pooled_schedule(
             instance,
-            pools,
             pass_calibrations,
             pass_placements,
             speed=cfg.speed,
             prune_empty=cfg.prune_empty,
         )
+        times["assemble"] = time.perf_counter() - tic
         unpruned = len(pass_calibrations[0]) + len(pass_calibrations[1])
         machines_used = merged.num_machines
         if cfg.validate:

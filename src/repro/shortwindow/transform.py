@@ -32,16 +32,17 @@ from typing import Sequence
 
 from ..core.errors import SolverError
 from ..core.job import Job
-from ..core.schedule import Schedule, schedule_from_keys
-from ..core.tolerance import EPS, gt
+from ..core.schedule import (
+    CalibrationKey,
+    PlacementKey,
+    Schedule,
+    placement_order,
+    schedule_from_keys,
+)
+from ..core.tolerance import EPS
 from ..mm.base import MMSchedule
 
 __all__ = ["IntervalTransformResult", "interval_mm_to_ise"]
-
-CalibrationKey = tuple[float, int]
-"""``(start, machine)`` of one calibration."""
-PlacementKey = tuple[float, int, int]
-"""``(start, machine, job_id)`` of one placement."""
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,6 @@ class IntervalTransformResult:
             self.calibration_length,
             self.speed,
         )
-
-
-def _calibration_index(start: float, interval_start: float, T: float) -> int:
-    """Index ``k`` of the base calibration containing time ``start``."""
-    k = math.floor((start - interval_start) / T)
-    # Snap boundary hits: a start within EPS of the next calibration's
-    # beginning belongs to that calibration.
-    if (start - interval_start) - (k + 1) * T >= -EPS:
-        k += 1
-    return max(0, k)
 
 
 def interval_mm_to_ise(
@@ -132,17 +123,20 @@ def interval_mm_to_ise(
 
     placements: list[PlacementKey] = []
     crossing = 0
-    for placement in mm_schedule.placements:
-        job = job_map.get(placement.job_id)
+    speed = mm_schedule.speed
+    for start, machine, job_id in map(placement_order, mm_schedule.placements):
+        job = job_map.get(job_id)
         if job is None:
-            raise SolverError(
-                f"MM schedule contains unknown job {placement.job_id}"
-            )
-        start, machine = placement.start, placement.machine
-        duration = job.processing / mm_schedule.speed
-        k = _calibration_index(start, interval_start, T)
-        cal_end = interval_start + (k + 1) * T
-        if not gt(start + duration, cal_end):
+            raise SolverError(f"MM schedule contains unknown job {job_id}")
+        # Index k of the base calibration holding ``start``.  A start within
+        # EPS of the next calibration's beginning belongs to that one.
+        offset = start - interval_start
+        k = math.floor(offset / T)
+        if offset - (k + 1) * T >= -EPS:
+            k += 1
+        if k < 0:
+            k = 0
+        if start + job.processing / speed <= interval_start + (k + 1) * T + EPS:
             target = machine
         else:
             crossing += 1
@@ -153,7 +147,7 @@ def interval_mm_to_ise(
             else:
                 target = (w if k % 2 == 0 else 2 * w) + machine
             calibrations.append((start, target))
-        placements.append((start, target, job.job_id))
+        placements.append((start, target, job_id))
 
     return IntervalTransformResult(
         calibrations=tuple(calibrations),

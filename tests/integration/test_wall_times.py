@@ -51,10 +51,14 @@ def test_pipeline_dicts_are_copied_once_under_their_prefix(verified) -> None:
 
 
 def test_short_side_names_every_stage(verified) -> None:
-    """The Lemma 18 bound is its own stage, next to the MM solve and lift."""
+    """The Lemma 18 bound is its own stage, next to the MM solve and lift;
+    so is the assembly of the delivered schedule from the lifts."""
     short = verified.short_result.wall_times
-    assert set(short) == {"partition", "mm", "lift", "lower_bound", "validate"}
+    assert set(short) == {
+        "partition", "mm", "lift", "lower_bound", "assemble", "validate"
+    }
     assert verified.wall_times["short.lower_bound"] == short["lower_bound"] > 0.0
+    assert verified.wall_times["short.assemble"] == short["assemble"] > 0.0
 
 
 def test_resilience_report_carries_no_timings(verified) -> None:

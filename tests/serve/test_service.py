@@ -9,12 +9,13 @@ end-to-end solves against the real pipeline live in ``test_chaos_serve.py``.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.core import OverloadError, ServiceShutdownError, StageTimeoutError
 from repro.core.solver import ISEConfig
-from repro.instances import mixed_instance
+from repro.instances import long_window_instance, mixed_instance
 from repro.serve import ServiceConfig, SolveService
 from repro.testing.faults import FakeClock
 
@@ -302,3 +303,28 @@ def test_stats_snapshot_shape(instance) -> None:
         assert isinstance(snap["breakers"], dict)
     finally:
         service.shutdown()
+
+
+# A rescued answer may pass its deadline by this much: the rescue's cost is
+# an estimate, and the LP stops a little after its time limit.
+RESCUE_SLACK = 0.05
+
+
+def test_lp_timeout_is_rescued_within_the_deadline() -> None:
+    """Long n=1024, m=32 needs ~2 s of LP on a 2-core x86-64 VM, so with a
+    0.3 s deadline HiGHS times out and the lazy TISE greedy answers.  The
+    LP's time limit leaves that rescue its estimated time, so the answer
+    comes by the deadline (it came 94-122 ms late when HiGHS had the whole
+    budget)."""
+    instance = long_window_instance(1024, 32, 10.0, seed=0).instance
+    service = SolveService(ServiceConfig(workers=1)).start()
+    try:
+        tic = time.perf_counter()
+        outcome = service.solve(instance, deadline=0.3, timeout=10.0)
+        elapsed = time.perf_counter() - tic
+    finally:
+        service.shutdown()
+    assert outcome.result.resilience.fallbacks == [
+        "long_pipeline: theorem12 -> greedy_tise"
+    ]
+    assert elapsed <= 0.3 + RESCUE_SLACK

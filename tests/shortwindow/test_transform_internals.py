@@ -1,10 +1,39 @@
-"""White-box tests for Algorithm 5's calibration-index arithmetic."""
+"""Algorithm 5's calibration-index arithmetic, read through the lift.
+
+The lift puts a job that starts at ``start`` in base calibration ``k`` and
+keeps it there when it ends by ``interval_start + (k + 1) T``; past that
+end it moves to crossing machine ``w`` (``k`` even) or ``2w`` (``k`` odd).
+The helper below recovers ``k`` from those two observations.
+"""
 
 from __future__ import annotations
 
-import pytest
+from repro.core import Job, ScheduledJob
+from repro.mm.base import MMSchedule
+from repro.shortwindow import interval_mm_to_ise
 
-from repro.shortwindow.transform import _calibration_index
+DELTA = 1e-6  # well past the lift's tolerance
+
+
+def _lifted_machine(start: float, end: float, interval_start: float, T: float) -> int:
+    """The machine the lift gives one job running ``[start, end)`` on MM machine 0."""
+    job = Job(0, start, end, end - start)
+    mm = MMSchedule(placements=(ScheduledJob(start, 0, 0),), num_machines=1)
+    lifted = interval_mm_to_ise((job,), mm, interval_start, T, 2.0)
+    return lifted.placements[0][1]
+
+
+def _calibration_index(start: float, interval_start: float, T: float) -> int:
+    """The ``k`` whose end a job from ``start`` may reach but not pass."""
+    for k in range(8):
+        end = interval_start + (k + 1) * T
+        if end - DELTA <= start:
+            continue
+        fits = _lifted_machine(start, end - DELTA, interval_start, T) == 0
+        crossing = _lifted_machine(start, end + DELTA, interval_start, T)
+        if fits and crossing == (1 if k % 2 == 0 else 2):
+            return k
+    raise AssertionError(f"no base calibration holds a start at {start}")
 
 
 class TestCalibrationIndex:
