@@ -14,6 +14,8 @@ Everything measured lands in the machine-readable ``BENCH_perf.json``
 artifact via the ``perf_json`` fixture (see docs/performance.md).  With
 ``PERF_SMOKE=1`` in the environment only the two smallest sizes per axis
 run — the CI perf-smoke job uses this to keep the artifact fresh cheaply.
+Full runs add one dense short row (n=3200, m=32), where most buckets need
+more than two machines and the Lemma 18 bound takes the max-flow path.
 
 Note on speedup assertions: on a single-core host a process pool cannot
 beat the serial wall no matter how independent the cases are.  Pooled-vs-
@@ -40,6 +42,8 @@ PERF_SMOKE = bool(os.environ.get("PERF_SMOKE"))
 
 LONG_SIZES = [8, 16] if PERF_SMOKE else [8, 16, 24, 32]
 SHORT_SIZES = [10, 20] if PERF_SMOKE else [10, 20, 40, 60]
+#: (n, machines) of the short rows: the sizes above at m=2, plus a dense row.
+SHORT_ROWS = [(n, 2) for n in SHORT_SIZES] + ([] if PERF_SMOKE else [(3200, 32)])
 WORKERS = 2
 CPU_COUNT = os.cpu_count() or 1
 #: The gated sweep: the ``large`` preset is the smallest suite whose cases
@@ -151,24 +155,26 @@ def bench_perf_scaling_short(benchmark, report, perf_json):
     table = Table(
         title="PERF (short side): per-stage wall time vs n",
         columns=[
-            "n", "partition ms", "mm ms", "lift ms", "lower bound ms",
+            "n", "m", "partition ms", "mm ms", "lift ms", "lower bound ms",
             "assemble ms", "validate ms", "intervals",
         ],
     )
     rows = []
-    for n in SHORT_SIZES:
-        gen = short_window_instance(n, 2, 10.0, seed=n)
+    for n, m in SHORT_ROWS:
+        gen = short_window_instance(n, m, 10.0, seed=n)
         result = solver.solve(gen.instance)
         wt = result.wall_times
         rows.append(
             {
                 "n": n,
+                "machines": m,
                 "stage_ms": {k: round(v * 1e3, 3) for k, v in wt.items()},
                 "intervals": len(result.intervals),
             }
         )
         table.add_row(
             n,
+            m,
             wt["partition"] * 1e3,
             wt["mm"] * 1e3,
             wt["lift"] * 1e3,
@@ -180,6 +186,10 @@ def bench_perf_scaling_short(benchmark, report, perf_json):
     table.add_note(
         "the MM black box dominates; its cost is per-interval, so the total "
         "grows with the number of occupied intervals, not the horizon"
+    )
+    table.add_note(
+        "the m=2 rows' lower bounds run one-machine EDF probes only; the "
+        "m=32 row's also run SciPy max flows"
     )
     report(table, "perf_scaling_short")
     perf_json("short_stage_times", {"sizes": rows})

@@ -11,6 +11,10 @@ keys; the solver's empty long side is the other.
 
 ``validate_mm`` is the MM feasibility check.  The short pipeline owns it and
 the MM boxes do not repeat it, so a default solve checks each bucket once.
+
+The Lemma 18 bound searches each bucket's ``[1, mm_machines]``.  At n=800,
+m=2 no bucket needs more than two machines, so every search is at most one
+``w = 1`` probe, decided by Jackson's rule: no Horn network is built.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from repro.core.schedule import Schedule
 from repro.instances import long_window_instance, short_window_instance
 from repro.longwindow import LongWindowSolver
 from repro.mm import base as mm_base
+from repro.mm import preemptive_bound
 
 # Lookups per default short n=800, m=2 solve: the pruning of the pooled keys
 # and the pipeline's check_ise, one each per job.
@@ -31,6 +36,9 @@ SHORT_800_LOOKUPS = 1600
 # schedule and the empty long side.  Three before pruning and numbering moved
 # onto keys.
 SHORT_800_SCHEDULES = 2
+# One-machine probes per default short n=800, m=2 solve: one per bucket whose
+# MM answer is two machines.
+SHORT_800_JACKSON_PROBES = 47
 
 
 def _counter(monkeypatch, owner, name):
@@ -75,3 +83,12 @@ def test_short_solve_checks_each_bucket_once(monkeypatch):
     buckets = len(result.short_result.intervals)
     assert buckets > 0
     assert count[0] == buckets
+
+
+def test_short_solve_bounds_without_a_flow(monkeypatch):
+    networks = _counter(monkeypatch, preemptive_bound, "_HornNetwork")
+    probes = _counter(monkeypatch, preemptive_bound, "_jackson_feasible")
+    result = solve_ise(short_window_instance(800, 2, 10.0, seed=1).instance)
+    two = sum(r.mm_machines == 2 for r in result.short_result.intervals)
+    assert networks[0] == 0
+    assert probes[0] == two == SHORT_800_JACKSON_PROBES

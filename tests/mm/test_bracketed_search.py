@@ -5,8 +5,9 @@
   search returns.
 * ``BestOfGreedyMM`` scans each later ordering only below the best count so
   far; it must return what running every ordering in full returns.
-* The short-window pipeline builds a Horn network only for buckets whose MM
-  answer exceeds one machine.
+* The short-window pipeline builds a Horn network only for buckets whose
+  bracket ``[1, min(u, n)]`` needs a probe at ``w >= 2``; a bracket of two
+  machines is closed by one Jackson probe at ``w = 1``.
 """
 
 from __future__ import annotations
@@ -68,9 +69,10 @@ def test_bracketed_bound_equals_full_search(jobs: tuple[Job, ...], speed: float)
 
 def test_bracket_closed_at_one_builds_no_network(monkeypatch: pytest.MonkeyPatch) -> None:
     def refuse(*args: object) -> None:
-        raise AssertionError("built a Horn network for a closed bracket")
+        raise AssertionError("probed a closed bracket")
 
     monkeypatch.setattr(preemptive_bound, "_HornNetwork", refuse)
+    monkeypatch.setattr(preemptive_bound, "_jackson_feasible", refuse)
     jobs = (Job(job_id=0, release=0.0, deadline=5.0, processing=2.0),)
     assert preemptive_machine_lower_bound(jobs, 1.0, upper=1) == 1
     assert preemptive_machine_lower_bound((), 1.0, upper=1) == 0
@@ -105,7 +107,7 @@ def test_capped_best_greedy_equals_full_orderings_on_short_buckets() -> None:
         assert got == _all_orderings_in_full(bucket.jobs, 1.0)
 
 
-def test_horn_networks_only_for_buckets_above_one_machine(
+def test_horn_networks_only_for_brackets_that_probe_two_machines(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     built: list[int] = []
@@ -116,8 +118,10 @@ def test_horn_networks_only_for_buckets_above_one_machine(
             super().__init__(jobs, speed)
 
     monkeypatch.setattr(preemptive_bound, "_HornNetwork", CountingNetwork)
-    instance = short_window_instance(800, 2, T, seed=1).instance
+    instance = short_window_instance(400, 4, T, seed=1).instance
     result = ShortWindowSolver().solve(instance)
-    above_one = [r.num_jobs for r in result.intervals if r.mm_machines > 1]
-    assert 0 < len(above_one) < len(result.intervals)
-    assert built == above_one
+    probes_two = [
+        r.num_jobs for r in result.intervals if min(r.mm_machines, r.num_jobs) >= 3
+    ]
+    assert 0 < len(probes_two) < len(result.intervals)
+    assert built == probes_two
